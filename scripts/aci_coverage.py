@@ -10,7 +10,7 @@ Usage: python3 scripts/aci_coverage.py [--seed SEED] [--workers K]
 
 import argparse
 
-from fpdrift import ExperimentConfig, coverage_experiment
+from fpdrift import coverage_experiment, parse_config
 
 
 def main() -> None:
@@ -19,14 +19,13 @@ def main() -> None:
     ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
-    fbm_cfg = ExperimentConfig(
-        model="model2", hurst=0.9, horizon=0.75, sigma=1.0,
-        n_max=50, replications=100, seed=args.seed,
-    )
-    bm_cfg = ExperimentConfig(
-        model="model2", hurst=0.5, horizon=0.75, sigma=1.0, mode="bm",
-        n_max=200, steps=200, replications=200, seed=args.seed,
-    )
+    fbm_cfg = parse_config(overrides=[
+        "model=model2", "H=0.9", "n_max=50", "replications=100", f"seed={args.seed}",
+    ]).experiment
+    bm_cfg = parse_config(overrides=[
+        "model=model2", "H=0.5", "mode=bm", "n_max=200", "steps=200",
+        "replications=200", f"seed={args.seed}",
+    ]).experiment
     for label, cfg in [("fbm (H=0.9, N=50)", fbm_cfg), ("bm (H=0.5, N=200)", bm_cfg)]:
         report = coverage_experiment(cfg, workers=args.workers)
         print(f"{label}: coverage = {report.coverage:.3f} "

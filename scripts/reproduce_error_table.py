@@ -8,7 +8,7 @@ Usage: python3 scripts/reproduce_error_table.py [--seed SEED] [--workers K]
 import argparse
 import time
 
-from fpdrift import ExperimentConfig, run_experiment
+from fpdrift import parse_config, run_experiment
 
 CASES = [
     ("model1", 0.7),
@@ -16,8 +16,6 @@ CASES = [
     ("model2", 0.7),
     ("model2", 0.9),
 ]
-
-PRESETS = {"model1": (0.1, 0.25), "model2": (0.75, 1.0)}
 
 
 def main() -> None:
@@ -29,12 +27,10 @@ def main() -> None:
 
     print(f"{'model':8s} {'H':>4s} {'mean error':>12s} {'std error':>12s} {'seconds':>8s}")
     for model, h in CASES:
-        horizon, sigma = PRESETS[model]
-        cfg = ExperimentConfig(
-            model=model, hurst=h, horizon=horizon, sigma=sigma,
-            n_max=50, replications=args.replications, seed=args.seed,
-            eval_points=(50,),
-        )
+        cfg = parse_config(overrides=[
+            f"model={model}", f"H={h}", "n_max=50", "eval_points=50",
+            f"replications={args.replications}", f"seed={args.seed}",
+        ]).experiment
         t0 = time.perf_counter()
         report, _ = run_experiment(cfg, workers=args.workers)
         dt = time.perf_counter() - t0

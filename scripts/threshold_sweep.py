@@ -10,12 +10,12 @@ Usage: python3 scripts/threshold_sweep.py [--seed SEED] [--workers K]
 
 import argparse
 
-from fpdrift import ExperimentConfig, threshold_sweep
+from fpdrift import parse_config, threshold_sweep
 
 GRIDS = {
-    # model: (horizon, sigma, [start, step, count])
-    "model1": (0.1, 0.25, (0.5, 0.1, 31)),
-    "model2": (0.75, 1.0, (1.0, 0.5, 31)),
+    # model: (start, step, count); horizon and sigma come from the model's preset
+    "model1": (0.5, 0.1, 31),
+    "model2": (1.0, 0.5, 31),
 }
 
 
@@ -26,12 +26,12 @@ def main() -> None:
     ap.add_argument("--n-fixed", type=int, default=15)
     args = ap.parse_args()
 
-    for model, (horizon, sigma, (start, step, count)) in GRIDS.items():
+    for model, (start, step, count) in GRIDS.items():
         thresholds = [start + step * k for k in range(count)]
-        cfg = ExperimentConfig(
-            model=model, hurst=0.9, horizon=horizon, sigma=sigma,
-            n_max=args.n_fixed, replications=100, seed=args.seed,
-        )
+        cfg = parse_config(overrides=[
+            f"model={model}", "H=0.9", f"n_max={args.n_fixed}",
+            "replications=100", f"seed={args.seed}",
+        ]).experiment
         report = threshold_sweep(cfg, thresholds, args.n_fixed, workers=args.workers)
         print(f"# {model}, H = 0.9, N = {args.n_fixed}")
         print("threshold,mean_error")

@@ -39,10 +39,7 @@ from .estimators import (
     EstimateFBM,
     FbmEstimatorCache,
     SufficientStats,
-    aci_fbm,
     check_omega,
-    compute_DN,
-    compute_IN,
     dmax_from_lower_bound,
     dmax_ou,
     estimate_bm,
@@ -51,9 +48,6 @@ from .estimators import (
     iteration_schedule,
     max_horizon,
     normal_quantile,
-    phi_map,
-    sufficient_stats,
-    ybar_fbm,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -94,10 +88,7 @@ __all__ = [
     "EstimateFBM",
     "FbmEstimatorCache",
     "SufficientStats",
-    "aci_fbm",
     "check_omega",
-    "compute_DN",
-    "compute_IN",
     "dmax_from_lower_bound",
     "dmax_ou",
     "estimate_bm",
@@ -106,9 +97,6 @@ __all__ = [
     "iteration_schedule",
     "max_horizon",
     "normal_quantile",
-    "phi_map",
-    "sufficient_stats",
-    "ybar_fbm",
     "ExperimentConfig",
     "SummaryReport",
     "TrialResult",

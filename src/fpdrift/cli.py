@@ -23,10 +23,9 @@ from .fbm import PathBundle, Grid
 from .montecarlo import (
     coverage_experiment,
     run_experiment,
-    run_trial,
+    simulate_bundle,
     threshold_sweep,
-    _simulate_bundle,
-    _trial_rng,
+    trial_rng,
 )
 
 EXIT_OK = 0
@@ -77,33 +76,37 @@ def _bundle_csv_lines(bundle: PathBundle) -> list[str]:
     return lines
 
 
-def _read_bundle_csv(path: str, horizon_hint: Optional[float] = None) -> PathBundle:
+def _read_bundle_csv(path: str) -> PathBundle:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("t,"):
         raise ConfigError(f"{path}: not a bundle CSV (missing 't,path_...' header)")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    arr = np.asarray(rows, dtype=float)
-    nodes, values = arr[:, 0], arr[:, 1:].T
-    steps = nodes.size - 1
-    if steps < 1:
+    if len(lines) < 3:
         raise ConfigError(f"{path}: needs at least two grid nodes")
-    grid = Grid(horizon=float(nodes[-1]), steps=steps)
-    if not np.allclose(nodes, grid.nodes, rtol=1e-12, atol=1e-12):
-        raise ConfigError(f"{path}: grid nodes are not uniform")
-    return PathBundle(grid=grid, values=values, kind="solution")
+    width = len(lines[0].split(","))
+    try:
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        if any(len(row) != width for row in rows):
+            raise ValueError(f"every row needs {width} cells, as the header has")
+        arr = np.asarray(rows, dtype=float)
+        nodes, values = arr[:, 0], arr[:, 1:].T
+        grid = Grid(horizon=float(nodes[-1]), steps=nodes.size - 1)
+        if not np.allclose(nodes, grid.nodes, rtol=1e-12, atol=1e-12):
+            raise ValueError("grid nodes are not uniform")
+        return PathBundle(grid=grid, values=values, kind="solution")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: RunConfig, workers: int) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     e = cfg.experiment
     os.makedirs(cfg.out_dir, exist_ok=True)
     for trial in range(e.replications):
-        rng = _trial_rng(e, trial)
-        bundle = _simulate_bundle(e, rng, e.n_max)
+        bundle = simulate_bundle(e, trial_rng(e, trial), e.n_max)
         path = os.path.join(cfg.out_dir, f"bundle_{trial:04d}.csv")
         _write_lines(path, _bundle_csv_lines(bundle))
         _log(cfg, f"wrote {path}")
@@ -141,12 +144,12 @@ def _estimate_record(cfg: RunConfig, bundle: PathBundle) -> dict:
     }
 
 
-def cmd_estimate(cfg: RunConfig, workers: int, input_path: Optional[str]) -> int:
+def cmd_estimate(cfg: RunConfig, input_path: Optional[str]) -> int:
     e = cfg.experiment
     if input_path is not None:
         bundle = _read_bundle_csv(input_path)
     else:
-        bundle = _simulate_bundle(e, _trial_rng(e, 0), e.n_max)
+        bundle = simulate_bundle(e, trial_rng(e, 0), e.n_max)
     record = _estimate_record(cfg, bundle)
     text = json.dumps(record, indent=2, sort_keys=True)
     print(text)
@@ -159,7 +162,7 @@ def cmd_estimate(cfg: RunConfig, workers: int, input_path: Optional[str]) -> int
     return EXIT_OK
 
 
-def _summary_lines(cfg: RunConfig, report) -> list[str]:
+def _write_summary(cfg: RunConfig, report) -> None:
     e = cfg.experiment
     header = "model,H,N_max,replications,mean_error,std_error,coverage,seconds"
     # Timings go to stderr; the file column is pinned to 0 so that output bytes
@@ -169,7 +172,13 @@ def _summary_lines(cfg: RunConfig, report) -> list[str]:
         _fmt(report.mean_error), _fmt(report.std_error),
         _fmt(report.coverage), _fmt(0.0),
     ])
-    return [header, row]
+    payload = {
+        "model": e.model, "H": e.hurst, "N_max": e.n_max,
+        "replications": e.replications, "mean_error": report.mean_error,
+        "std_error": report.std_error, "coverage": report.coverage,
+        "seconds": 0.0,
+    }
+    _write_report(cfg, "summary", [header, row], payload)
 
 
 def _trajectory_lines(trials) -> list[str]:
@@ -199,13 +208,7 @@ def cmd_experiment(cfg: RunConfig, workers: int) -> int:
     report, trials = run_experiment(e, workers=workers)
     _log(cfg, f"experiment finished in {report.seconds:.2f}s "
               f"(mean_error={report.mean_error:.6g})")
-    summary_payload = {
-        "model": e.model, "H": e.hurst, "N_max": e.n_max,
-        "replications": e.replications, "mean_error": report.mean_error,
-        "std_error": report.std_error, "coverage": report.coverage,
-        "seconds": 0.0,
-    }
-    _write_report(cfg, "summary", _summary_lines(cfg, report), summary_payload)
+    _write_summary(cfg, report)
     traj_payload = {
         "trials": [
             {
@@ -238,17 +241,10 @@ def cmd_sweep(cfg: RunConfig, workers: int, grid_spec: str, n_fixed: Optional[in
 
 
 def cmd_coverage(cfg: RunConfig, workers: int) -> int:
-    e = cfg.experiment
-    report = coverage_experiment(e, workers=workers)
+    report = coverage_experiment(cfg.experiment, workers=workers)
     _log(cfg, f"coverage run finished in {report.seconds:.2f}s "
               f"(coverage={report.coverage:.3f})")
-    payload = {
-        "model": e.model, "H": e.hurst, "N_max": e.n_max,
-        "replications": e.replications, "mean_error": report.mean_error,
-        "std_error": report.std_error, "coverage": report.coverage,
-        "seconds": 0.0,
-    }
-    _write_report(cfg, "summary", _summary_lines(cfg, report), payload)
+    _write_summary(cfg, report)
     return EXIT_OK
 
 
@@ -303,9 +299,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = parse_config(path=args.config, overrides=args.set, seed=seed,
                            out_dir=args.out, fmt=args.format)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.workers)
+            return cmd_simulate(cfg)
         if args.command == "estimate":
-            return cmd_estimate(cfg, args.workers, args.input)
+            return cmd_estimate(cfg, args.input)
         if args.command == "experiment":
             return cmd_experiment(cfg, args.workers)
         if args.command == "sweep":

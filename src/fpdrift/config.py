@@ -23,35 +23,20 @@ _PRESETS: dict[str, dict[str, float]] = {
     "model2": {"T": 0.75, "sigma": 1.0, "x0": 5.0, "theta0": 1.0},
 }
 
-_DEFAULTS: dict[str, Any] = {
-    "steps": 20,
-    "n_max": 50,
-    "replications": 100,
-    "seed": 0,
-    "contraction": 0.5,
-    "d_threshold": 0.0,
-    "alpha": 0.05,
-    "max_iters": None,
-    "tol": 1e-12,
-    "enforce_omega": False,
-    "corr_block": 1,
-    "corr_rho": 0.0,
-    "mode": "fbm",
-    "eval_points": None,
-    "fresh_paths_per_n": False,
-    "out_dir": ".",
-    "format": "csv",
-    "verbosity": 0,
-}
+# ExperimentConfig fields whose config key is spelled differently.
+_KEY_OF_FIELD = {"hurst": "H", "horizon": "T"}
+# Config key -> ExperimentConfig field.
+_FIELDS = {_KEY_OF_FIELD.get(f.name, f.name): f for f in dataclasses.fields(ExperimentConfig)}
+_DEFAULTS: dict[str, Any] = {key: f.default for key, f in _FIELDS.items()
+                             if f.default is not dataclasses.MISSING}
+_OUTPUT_KEYS = ("out_dir", "format", "verbosity")
 
 _BOOL_KEYS = {"enforce_omega", "fresh_paths_per_n"}
-_INT_KEYS = {"steps", "n_max", "replications", "seed", "max_iters", "verbosity"}
+_INT_KEYS = {"steps", "n_max", "replications", "seed", "max_iters", "verbosity", "corr_block"}
 _FLOAT_KEYS = {"H", "T", "sigma", "x0", "theta0", "contraction", "d_threshold",
                "alpha", "tol", "corr_rho"}
 _STR_KEYS = {"model", "mode", "out_dir", "format"}
-_ALL_KEYS = (_BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-             | {"corr_block", "eval_points"})
-_INT_KEYS = _INT_KEYS | {"corr_block"}
+_ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"eval_points"}
 
 
 @dataclass(frozen=True)
@@ -69,33 +54,10 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Effective configuration as a plain mapping; re-parsing it round-trips."""
-        e = self.experiment
-        d = {
-            "model": e.model,
-            "H": e.hurst,
-            "T": e.horizon,
-            "sigma": e.sigma,
-            "x0": e.x0,
-            "theta0": e.theta0,
-            "steps": e.steps,
-            "n_max": e.n_max,
-            "replications": e.replications,
-            "seed": e.seed,
-            "contraction": e.contraction,
-            "d_threshold": e.d_threshold,
-            "alpha": e.alpha,
-            "max_iters": e.max_iters,
-            "tol": e.tol,
-            "enforce_omega": e.enforce_omega,
-            "corr_block": e.corr_block,
-            "corr_rho": e.corr_rho,
-            "mode": e.mode,
-            "eval_points": list(e.eval_points) if e.eval_points is not None else None,
-            "fresh_paths_per_n": e.fresh_paths_per_n,
-            "out_dir": self.out_dir,
-            "format": self.format,
-            "verbosity": self.verbosity,
-        }
+        d = {key: getattr(self.experiment, f.name) for key, f in _FIELDS.items()}
+        if d["eval_points"] is not None:
+            d["eval_points"] = list(d["eval_points"])
+        d.update((key, getattr(self, key)) for key in _OUTPUT_KEYS)
         return d
 
 
@@ -150,9 +112,7 @@ def _validated(raw: dict[str, Any]) -> RunConfig:
     if "model" not in raw:
         raise ConfigError("model: required (model1 | model2 | custom:c0,c1,...)")
     merged: dict[str, Any] = dict(_DEFAULTS)
-    model = _coerce("model", raw["model"])
-    preset = _PRESETS.get(model, {})
-    merged.update(preset)
+    merged.update(_PRESETS.get(_coerce("model", raw["model"]), {}))
     for key, value in raw.items():
         merged[key] = _coerce(key, value)
 
@@ -162,45 +122,17 @@ def _validated(raw: dict[str, Any]) -> RunConfig:
     h = merged["H"]
     if not 0.0 < h < 1.0:
         raise ConfigError(f"H: must lie in (0, 1), got {h}")
-    if merged["T"] <= 0.0:
-        raise ConfigError(f"T: must be positive, got {merged['T']}")
     if merged["sigma"] == 0.0:
         raise ConfigError("sigma: must be nonzero")
     if merged["mode"] == "fbm" and h == 0.5:
         merged["mode"] = "bm"  # H = 1/2 only makes sense in bm mode
 
     try:
-        experiment = ExperimentConfig(
-            model=model,
-            hurst=h,
-            horizon=merged["T"],
-            sigma=merged["sigma"],
-            x0=merged.get("x0", 5.0),
-            theta0=merged.get("theta0", 1.0),
-            steps=merged["steps"],
-            n_max=merged["n_max"],
-            replications=merged["replications"],
-            seed=merged["seed"],
-            contraction=merged["contraction"],
-            d_threshold=merged["d_threshold"],
-            alpha=merged["alpha"],
-            max_iters=merged["max_iters"],
-            tol=merged["tol"],
-            enforce_omega=merged["enforce_omega"],
-            corr_block=merged["corr_block"],
-            corr_rho=merged["corr_rho"],
-            mode=merged["mode"],
-            eval_points=merged["eval_points"],
-            fresh_paths_per_n=merged["fresh_paths_per_n"],
-        )
+        experiment = ExperimentConfig(**{f.name: merged[key] for key, f in _FIELDS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        experiment=experiment,
-        out_dir=merged["out_dir"],
-        format=merged["format"],
-        verbosity=merged["verbosity"],
-    )
+    return RunConfig(experiment=experiment,
+                     **{key: merged[key] for key in _OUTPUT_KEYS if key in merged})
 
 
 def parse_config(

@@ -10,7 +10,8 @@ class DegenerateStatisticsError(FpdriftError):
 
 
 class DivergenceError(FpdriftError):
-    """The fixed-point iteration produced a non-finite iterate."""
+    """A computation produced non-finite values: the fixed-point iteration
+    diverged, or the Euler scheme blew up (an explosive drift on this horizon)."""
 
 
 class ConfigError(FpdriftError):

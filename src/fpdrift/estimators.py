@@ -2,6 +2,10 @@
 iteration, contraction certificate, truncations, thresholds and confidence
 intervals.
 
+`FbmEstimatorCache` (H > 1/2) and `BmEstimatorCache` (H = 1/2) are the one
+implementation of D_N, I_N, Phi_N, Ybar_N and the interval half-width; the
+one-shot `estimate_fbm`/`estimate_bm` build a cache and evaluate it once.
+
 All integrals are replaced by left-point Riemann sums on the bundle's grid.
 The singular kernel |t - s|^(2H-2) is only evaluated at distinct nodes since
 inner sums always exclude the diagonal.
@@ -75,12 +79,11 @@ def normal_quantile(p: float) -> float:
 
 @dataclass
 class SufficientStats:
-    """D_N, I_N, M_N and the cumulative b' integrals feeding the fixed-point map."""
+    """D_N, I_N and M_N of a path prefix, feeding the fixed-point map."""
 
     d_n: float
     i_n: float
     m_n: float
-    cumulative: np.ndarray  # (N, steps + 1): C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh
 
 
 @dataclass
@@ -90,14 +93,12 @@ class EstimateFBM:
     iterations: int
     residual: float
     omega_holds: bool
-    c_contraction: float
-    threshold: float
     theta_tilde_c: float
     theta_tilde_cd: float
     d_n: float
     i_n: float
-    aci: Optional[tuple[float, float, float]] = None  # (lower, upper, alpha)
-    ybar: Optional[float] = None
+    aci: tuple[float, float, float]  # (lower, upper, alpha)
+    ybar: float
 
 
 @dataclass
@@ -111,43 +112,6 @@ class EstimateBM:
 
 
 # ---------------------------------------------------------------------------
-# Sufficient statistics.
-# ---------------------------------------------------------------------------
-
-def compute_DN(paths: PathBundle, drift: DriftModel) -> float:
-    """Time-and-path average of b(X)^2 by the left-point Riemann sum."""
-    x = paths.values
-    t_total = paths.grid.horizon
-    bsq = drift.b(x[:, :-1]) ** 2
-    return float(bsq.sum() * paths.grid.mesh / (x.shape[0] * t_total))
-
-
-def compute_IN(paths: PathBundle, drift: DriftModel, d_n: float) -> float:
-    """Young-integral statistic via the antiderivative of b."""
-    if d_n <= 0.0:
-        raise DegenerateStatisticsError("D_N vanished; I_N is undefined")
-    x = paths.values
-    increments = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
-    return float(increments.sum() / (x.shape[0] * paths.grid.horizon * d_n))
-
-
-def cumulative_b_prime(paths: PathBundle, drift: DriftModel) -> np.ndarray:
-    """C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0."""
-    bp = drift.b_prime(paths.values[:, :-1])
-    c = np.zeros_like(paths.values)
-    np.cumsum(bp * paths.grid.mesh, axis=1, out=c[:, 1:])
-    return c
-
-
-def sufficient_stats(paths: PathBundle, drift: DriftModel) -> SufficientStats:
-    d_n = compute_DN(paths, drift)
-    i_n = compute_IN(paths, drift, d_n)
-    m_n = math.exp(drift.sup_norm_b_prime * abs(i_n) * paths.grid.horizon)
-    return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n,
-                           cumulative=cumulative_b_prime(paths, drift))
-
-
-# ---------------------------------------------------------------------------
 # Fixed-point map.
 # ---------------------------------------------------------------------------
 
@@ -155,25 +119,6 @@ def _pair_indices(steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered node pairs (j, l) with j = 1..steps and l < j."""
     j_idx, l_idx = np.tril_indices(steps, k=0)
     return j_idx + 1, l_idx
-
-
-def phi_map(
-    r: float,
-    stats: SufficientStats,
-    paths: PathBundle,
-    drift: DriftModel,
-    hurst: HurstParams,
-    sigma: float,
-) -> float:
-    """One evaluation of the Skorokhod-correction map at r."""
-    if hurst.h <= 0.5:
-        raise ValueError("the fixed-point map requires H > 1/2")
-    if stats.d_n <= 0.0:
-        raise DegenerateStatisticsError("D_N vanished; the fixed-point map is undefined")
-    w, a = _phi_tables(paths, drift, hurst)
-    n, t_total = paths.n_paths, paths.grid.horizon
-    total = float(np.dot(w.ravel(), np.exp((r + stats.i_n) * a.ravel())))
-    return -hurst.alpha * sigma**2 / (n * t_total * stats.d_n) * total
 
 
 def _phi_tables(paths: PathBundle, drift: DriftModel, hurst: HurstParams):
@@ -184,7 +129,9 @@ def _phi_tables(paths: PathBundle, drift: DriftModel, hurst: HurstParams):
     j_idx, l_idx = _pair_indices(paths.grid.steps)
     kernel = (t[j_idx] - t[l_idx]) ** (2.0 * hurst.h - 2.0) * dt * dt
     bp = drift.b_prime(paths.values)
-    c = cumulative_b_prime(paths, drift)
+    # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0.
+    c = np.zeros_like(paths.values)
+    np.cumsum(bp[:, :-1] * dt, axis=1, out=c[:, 1:])
     w = bp[:, j_idx] * kernel
     a = c[:, j_idx] - c[:, l_idx]
     return w, a
@@ -212,7 +159,6 @@ def check_omega(
 
 def fixed_point(
     phi: Callable[[float], float],
-    c: float,
     max_iters: int,
     tol: float,
 ) -> tuple[float, int, float]:
@@ -340,35 +286,6 @@ def _ybar_contributions(
     return double_term + quad_term
 
 
-def ybar_fbm(paths: PathBundle, drift: DriftModel, hurst: HurstParams, sigma: float) -> float:
-    y = _ybar_contributions(paths, drift, hurst, sigma)
-    n, t_total = paths.n_paths, paths.grid.horizon
-    return float(sigma**2 / (n * t_total**2) * y.sum())
-
-
-def aci_fbm(
-    paths: PathBundle,
-    drift: DriftModel,
-    hurst: HurstParams,
-    sigma: float,
-    stats: SufficientStats,
-    theta_center: float,
-    alpha: float,
-) -> tuple[float, float]:
-    """Asymptotic confidence interval of half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if stats.d_n <= 0.0:
-        raise DegenerateStatisticsError("D_N vanished; no confidence interval")
-    ybar = ybar_fbm(paths, drift, hurst, sigma)
-    if ybar < 0.0:
-        raise DegenerateStatisticsError("negative variance statistic")
-    half = 2.0 * math.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
-        math.sqrt(paths.n_paths) * stats.d_n
-    )
-    return theta_center - half, theta_center + half
-
-
 # ---------------------------------------------------------------------------
 # Bundle-level caches (per-path contributions are prefix-summable, so the
 # Monte Carlo engine can reuse one simulation across N = 1..N_max).
@@ -392,7 +309,6 @@ class FbmEstimatorCache:
         self._ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
         self._w, self._a = _phi_tables(paths, drift, hurst)
         self._y_i = _ybar_contributions(paths, drift, hurst, sigma)
-        self._cumulative = cumulative_b_prime(paths, drift)
 
     def stats(self, n: Optional[int] = None) -> SufficientStats:
         n = self.paths.n_paths if n is None else n
@@ -401,7 +317,7 @@ class FbmEstimatorCache:
             raise DegenerateStatisticsError("D_N vanished on this prefix")
         i_n = float(self._ib_i[:n].sum() / (n * self.t_total * d_n))
         m_n = math.exp(self.drift.sup_norm_b_prime * abs(i_n) * self.t_total)
-        return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n, cumulative=self._cumulative[:n])
+        return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n)
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         w = self._w[:n].ravel()
@@ -427,8 +343,11 @@ class FbmEstimatorCache:
         enforce_omega: bool = False,
         max_iters: Optional[int] = None,
         tol: float = DEFAULT_TOL,
-        with_aci: bool = True,
     ) -> EstimateFBM:
+        """Fixed-point estimate on the first n paths, with its confidence
+        interval of half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N)."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         n = self.paths.n_paths if n is None else n
         stats = self.stats(n)
         omega = check_omega(stats, self.hurst, self.sigma,
@@ -436,32 +355,26 @@ class FbmEstimatorCache:
         if max_iters is None:
             max_iters = iteration_schedule(n, c, self.t_total,
                                            self.drift.sup_norm_b_prime, self.hurst)
-        r_n, iters, residual = fixed_point(self.phi(n, stats), c, max_iters, tol)
+        r_n, iters, residual = fixed_point(self.phi(n, stats), max_iters, tol)
         theta = stats.i_n + r_n
         theta_c = theta if omega else 0.0
         theta_cd = theta_c if stats.d_n >= d_threshold else 0.0
         theta_reported = theta if not enforce_omega else theta_c
-        aci = None
-        ybar = None
-        if with_aci:
-            ybar = self.ybar(n)
-            half = 2.0 * math.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
-                math.sqrt(n) * stats.d_n
-            )
-            aci = (theta_reported - half, theta_reported + half, alpha)
+        ybar = self.ybar(n)
+        half = 2.0 * math.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
+            math.sqrt(n) * stats.d_n
+        )
         return EstimateFBM(
             theta_tilde=theta_reported,
             r_n=r_n,
             iterations=iters,
             residual=residual,
             omega_holds=omega,
-            c_contraction=c,
-            threshold=d_threshold,
             theta_tilde_c=theta_c,
             theta_tilde_cd=theta_cd,
             d_n=stats.d_n,
             i_n=stats.i_n,
-            aci=aci,
+            aci=(theta_reported - half, theta_reported + half, alpha),
             ybar=ybar,
         )
 
@@ -485,6 +398,8 @@ class BmEstimatorCache:
 
     def estimate(self, n: Optional[int] = None, *, d_threshold: float = 0.0,
                  alpha: float = 0.05) -> EstimateBM:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         n = self.n_paths if n is None else n
         nt = n * self.t_total
         d_nn = float(self._d_i[:n].sum() / nt)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateStatisticsError, DivergenceError
-from .fbm import CrossCorrelation, Grid, HurstParams, block_correlation, sample_fbm_bundle
+from .fbm import Grid, HurstParams, PathBundle, block_correlation, sample_fbm_bundle
 from .sde import DriftModel, SdeSpec, drift_model, euler_additive
 from .estimators import BmEstimatorCache, FbmEstimatorCache, DEFAULT_TOL
 
@@ -53,6 +53,22 @@ class ExperimentConfig:
     fresh_paths_per_n: bool = False  # resample per N instead of reusing prefixes
 
     def __post_init__(self):
+        try:
+            self.drift()
+        except ValueError as exc:
+            raise ConfigError(f"model: {exc}") from exc
+        if not self.horizon > 0.0:
+            raise ConfigError(f"T (horizon): must be positive, got {self.horizon}")
+        if self.steps < 1:
+            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
+        if not 0.0 < self.contraction < 1.0:
+            raise ConfigError(f"contraction: must lie in (0, 1), got {self.contraction}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha: must lie in (0, 1), got {self.alpha}")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ConfigError(f"max_iters: must be >= 1 or null, got {self.max_iters}")
+        if not self.tol >= 0.0:
+            raise ConfigError(f"tol: must be >= 0, got {self.tol}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.n_max < 1:
@@ -80,11 +96,6 @@ class ExperimentConfig:
 
     def drift(self) -> DriftModel:
         return drift_model(self.model)
-
-    def correlation(self) -> CrossCorrelation:
-        if self.corr_block == 1:
-            return CrossCorrelation.identity(self.n_max)
-        return block_correlation(self.n_max, self.corr_block, self.corr_rho)
 
 
 @dataclass
@@ -135,19 +146,18 @@ def summarize(errors: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=0))
 
 
-def _trial_rng(config: ExperimentConfig, trial_index: int) -> np.random.Generator:
+def trial_rng(config: ExperimentConfig, trial_index: int) -> np.random.Generator:
+    """The generator of one trial, independent of how trials are scheduled."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(trial_index,))
     )
 
 
-def _simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int):
+def simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int) -> PathBundle:
+    """Euler solutions of n copies driven by one fBm draw from rng."""
     grid = config.grid()
     hurst = config.hurst_params()
-    if config.corr_block == 1:
-        corr = CrossCorrelation.identity(n)
-    else:
-        corr = block_correlation(n, config.corr_block, config.corr_rho)
+    corr = block_correlation(n, config.corr_block, config.corr_rho)
     noise = sample_fbm_bundle(hurst, grid, corr, rng)
     spec = SdeSpec(x0=config.x0, theta0=config.theta0, sigma=config.sigma,
                    drift=config.drift(), hurst=hurst, grid=grid)
@@ -156,7 +166,7 @@ def _simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int)
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """One deterministic trial: simulate once, estimate on each prefix size."""
-    rng = _trial_rng(config, trial_index)
+    rng = trial_rng(config, trial_index)
     points = config.points
     k = len(points)
     nan = float("nan")
@@ -201,23 +211,19 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         omega[idx] = True
         d_stats[idx] = e.d_nn
 
-    if config.fresh_paths_per_n:
-        for idx, n in enumerate(points):
-            paths = _simulate_bundle(config, rng, n)
-            if config.mode == "fbm":
-                _eval_fbm(FbmEstimatorCache(paths, drift, hurst, config.sigma), n, idx)
-            else:
-                _eval_bm(BmEstimatorCache(paths, drift, sigma=config.sigma), n, idx)
+    if config.mode == "fbm":
+        make_cache = partial(FbmEstimatorCache, drift=drift, hurst=hurst, sigma=config.sigma)
+        evaluate = _eval_fbm
     else:
-        paths = _simulate_bundle(config, rng, config.n_max)
-        if config.mode == "fbm":
-            cache = FbmEstimatorCache(paths, drift, hurst, config.sigma)
-            for idx, n in enumerate(points):
-                _eval_fbm(cache, n, idx)
-        else:
-            cache = BmEstimatorCache(paths, drift, sigma=config.sigma)
-            for idx, n in enumerate(points):
-                _eval_bm(cache, n, idx)
+        make_cache = partial(BmEstimatorCache, drift=drift, sigma=config.sigma)
+        evaluate = _eval_bm
+
+    shared = None  # with prefix reuse, one bundle of n_max copies serves every N
+    if not config.fresh_paths_per_n:
+        shared = make_cache(simulate_bundle(config, rng, config.n_max))
+    for idx, n in enumerate(points):
+        cache = shared if shared is not None else make_cache(simulate_bundle(config, rng, n))
+        evaluate(cache, n, idx)
 
     return TrialResult(
         trial_index=trial_index, ns=np.asarray(points, dtype=int),

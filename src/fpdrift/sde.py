@@ -7,6 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import DivergenceError
 from .fbm import Grid, HurstParams, PathBundle
 
 
@@ -165,8 +166,13 @@ def euler_additive(spec: SdeSpec, noise: PathBundle) -> PathBundle:
     db = np.diff(noise.values, axis=1)
     x = np.empty_like(noise.values)
     x[:, 0] = spec.x0
-    for j in range(spec.grid.steps):
-        x[:, j + 1] = x[:, j] + spec.theta0 * spec.drift.b(x[:, j]) * dt + spec.sigma * db[:, j]
+    # Overflow is reported once, as DivergenceError, instead of as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(spec.grid.steps):
+            x[:, j + 1] = x[:, j] + spec.theta0 * spec.drift.b(x[:, j]) * dt + spec.sigma * db[:, j]
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError("the Euler scheme produced non-finite values; "
+                              "the drift explodes on this horizon")
     return PathBundle(grid=spec.grid, values=x, kind="solution")
 
 

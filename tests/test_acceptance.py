@@ -24,13 +24,10 @@ from fpdrift import (
     estimate_bm,
     fbm_covariance,
     fixed_point,
-    phi_map,
     run_experiment,
     run_trials,
     sample_fbm_bundle,
-    sufficient_stats,
     threshold_sweep,
-    ybar_fbm,
 )
 from fpdrift.cli import main as cli_main
 
@@ -104,13 +101,13 @@ def test_criterion_3_fixed_point_certificate():
     while checked < 20:
         bundle = solution_bundle(model="model2", h=0.9, n=10,
                                  seed=int(rng.integers(1 << 30)))
-        stats = sufficient_stats(bundle, drift)
+        cache = FbmEstimatorCache(bundle, drift, hurst, 1.0)
+        stats = cache.stats(10)
         if not check_omega(stats, hurst, 1.0, 1.0, 0.75, 0.5):
             continue
         checked += 1
-        cache = FbmEstimatorCache(bundle, drift, hurst, 1.0)
-        phi = cache.phi(10, cache.stats(10))
-        r_n, _, residual = fixed_point(phi, 0.5, 200, 1e-14)
+        phi = cache.phi(10, stats)
+        r_n, _, residual = fixed_point(phi, 200, 1e-14)
         max_resid = max(max_resid, residual)
         pts = rng.uniform(-1.0, 2.0, size=10)
         for a in pts[:5]:
@@ -145,8 +142,8 @@ def test_criterion_4_small_grid_oracles():
                                          seed=100 * steps + n)
                 x, t, T = bundle.values, bundle.grid.nodes, bundle.grid.horizon
                 drift = drift_model(model)
-                hurst = HurstParams(h=h)
-                stats = sufficient_stats(bundle, drift)
+                cache = FbmEstimatorCache(bundle, drift, HurstParams(h=h), sigma)
+                stats = cache.stats()
 
                 def rel(a, b):
                     return abs(a - b) / max(abs(b), 1e-300)
@@ -155,11 +152,11 @@ def test_criterion_4_small_grid_oracles():
                 worst = max(worst, rel(stats.i_n, oracle_in(
                     x, T, drift.antiderivative, stats.d_n)))
                 worst = max(worst, rel(
-                    phi_map(0.3, stats, bundle, drift, hurst, sigma),
+                    cache.phi(n, stats)(0.3),
                     oracle_phi(0.3, x, t, T, drift.b_prime, h, sigma,
                                stats.d_n, stats.i_n)))
                 worst = max(worst, rel(
-                    ybar_fbm(bundle, drift, hurst, sigma),
+                    cache.ybar(n),
                     oracle_ybar(x, t, T, drift.b, drift.b_prime, h, sigma)))
             bm_bundle = solution_bundle(model="model2", h=0.5, sigma=1.0,
                                         horizon=0.5, steps=steps, n=n, seed=4)

@@ -169,10 +169,41 @@ def test_estimate_missing_input_is_io_error(tmp_path):
     assert code == 4
 
 
-def test_validation_error_exit_code(tmp_path):
-    code = run_cli("experiment", "--set", "model=model2", "--set", "H=1.5",
+@pytest.mark.parametrize("setting", [
+    "H=1.5", "model=foo", "max_iters=0", "contraction=1.5", "tol=-1",
+    "steps=0", "alpha=1.5", "T=0",
+])
+def test_validation_error_exit_code(tmp_path, capsys, setting):
+    code = run_cli("experiment", "--set", "model=model2", "--set", "H=0.9",
+                   "--set", "T=0.75", "--set", "sigma=1", "--set", setting,
                    "--out", str(tmp_path))
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert setting.split("=")[0] in err
+
+
+@pytest.mark.parametrize("bundle_csv,expected", [
+    (None, 3),
+    ("t,path_1\n0,5\n0.5,abc\n1,3\n", 2),
+    ("t,path_1\n0,5\n0.5,4,7\n1,3\n", 2),
+    ("t,path_1\n0,5\n0.5,nan\n1,3\n", 2),
+], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell"])
+def test_bad_simulation_or_input_exit_code(tmp_path, capsys, bundle_csv, expected):
+    if bundle_csv is None:
+        # b(x) = x^2 from x0 = 5 overflows within the 20 Euler steps.
+        code = run_cli("experiment", "--set", "model=custom:1,0,0", "--set", "H=0.9",
+                       "--set", "T=1", "--set", "sigma=1", "--set", "replications=1",
+                       "--set", "n_max=2", "--out", str(tmp_path), "--workers", "1")
+    else:
+        path = tmp_path / "bundle.csv"
+        path.write_text(bundle_csv, encoding="utf-8")
+        code = run_cli("estimate", *common_args(tmp_path), "--input", str(path))
+    assert code == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if bundle_csv is not None:
+        assert str(tmp_path / "bundle.csv") in err
 
 
 def test_degenerate_statistics_exit_code(tmp_path):
@@ -227,6 +258,65 @@ def test_coverage_outputs(tmp_path):
     assert len(lines) == 2
     coverage = float(lines[1].split(",")[6])
     assert 0.0 <= coverage <= 1.0
+
+
+# Files written by these fixed-seed runs before the module-level estimators
+# were folded into the estimator caches; any later change must reproduce them.
+PINNED_RUNS = {
+    "fbm-experiment": (
+        ["experiment", "--set", "model=model2", "--set", "H=0.7", "--set", "n_max=4",
+         "--set", "replications=2", "--seed", "11"],
+        {
+            "summary.csv": """\
+model,H,N_max,replications,mean_error,std_error,coverage,seconds
+model2,0.69999999999999996,4,2,0.07504872746636948,0.015761631258759734,1,0
+""",
+            "trajectories.csv": """\
+trial,N,estimate,aci_lower,aci_upper
+0,1,1.1230471492634471,0.058525996128879543,2.1875683023980148
+0,2,0.86359220304420237,0.13190882825253059,1.5952755778358743
+0,3,0.87968998566722256,0.28236807881801496,1.4770118925164302
+0,4,1.0592870962076097,0.52583575298668461,1.5927384394285349
+1,1,1.2787141511114506,0.1901820169295092,2.3672462852933922
+1,2,1.2047169376456848,0.43443226893379672,1.9750016063575728
+1,3,1.230016369067781,0.59969401206295603,1.8603387260726061
+1,4,1.0908103587251292,0.55667937994170547,1.6249413375085529
+""",
+        },
+    ),
+    "bm-coverage": (
+        ["coverage", "--set", "model=model2", "--set", "mode=bm", "--set", "H=0.5",
+         "--set", "steps=50", "--set", "n_max=20", "--set", "replications=5",
+         "--seed", "11"],
+        {
+            "summary.csv": """\
+model,H,N_max,replications,mean_error,std_error,coverage,seconds
+model2,0.5,20,5,0.084756925075515577,0.044921686834685205,1,0
+""",
+        },
+    ),
+}
+
+
+def _words_and_numbers(text):
+    words, numbers = [], []
+    for cell in text.strip().replace("\n", ",").split(","):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            words.append(cell)
+    return words, numbers
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_fixed_seed_outputs_pinned(tmp_path, run):
+    argv, files = PINNED_RUNS[run]
+    assert run_cli(*argv, "--out", str(tmp_path), "--workers", "1") == 0
+    for name, text in files.items():
+        got_words, got_numbers = _words_and_numbers((tmp_path / name).read_text())
+        want_words, want_numbers = _words_and_numbers(text)
+        assert got_words == want_words
+        assert got_numbers == pytest.approx(want_numbers, rel=1e-12, nan_ok=True)
 
 
 def test_env_var_seed(tmp_path, monkeypatch):

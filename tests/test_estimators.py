@@ -12,8 +12,6 @@ from fpdrift import (
     HurstParams,
     PathBundle,
     check_omega,
-    compute_DN,
-    compute_IN,
     dmax_from_lower_bound,
     dmax_ou,
     drift_model,
@@ -23,9 +21,6 @@ from fpdrift import (
     iteration_schedule,
     max_horizon,
     normal_quantile,
-    phi_map,
-    sufficient_stats,
-    ybar_fbm,
 )
 from tests.conftest import solution_bundle
 
@@ -110,25 +105,26 @@ def test_small_grid_oracles(steps, n, model):
     h, sigma = 0.8, 0.5
     bundle = solution_bundle(model=model, h=h, sigma=sigma, horizon=0.5,
                              steps=steps, n=n, seed=steps * 10 + n)
-    x, t, T = bundle.values, bundle.grid.nodes, bundle.grid.horizon
+    t, T = bundle.grid.nodes, bundle.grid.horizon
     drift = drift_model(model)
-    hurst = HurstParams(h=h)
+    cache = FbmEstimatorCache(bundle, drift, HurstParams(h=h), sigma)
 
-    d_n = compute_DN(bundle, drift)
-    assert d_n == pytest.approx(oracle_dn(x, t, T, drift.b), rel=1e-12)
+    # Every prefix m <= n, as the Monte Carlo engine evaluates them.
+    for m in range(1, n + 1):
+        x = bundle.values[:m]
+        stats = cache.stats(m)
+        d_n, i_n = stats.d_n, stats.i_n
+        assert d_n == pytest.approx(oracle_dn(x, t, T, drift.b), rel=1e-12)
+        assert i_n == pytest.approx(oracle_in(x, T, drift.antiderivative, d_n), rel=1e-12)
 
-    i_n = compute_IN(bundle, drift, d_n)
-    assert i_n == pytest.approx(oracle_in(x, T, drift.antiderivative, d_n), rel=1e-12)
+        phi = cache.phi(m, stats)
+        for r in (0.0, -0.3, 0.7):
+            want = oracle_phi(r, x, t, T, drift.b_prime, h, sigma, d_n, i_n)
+            assert phi(r) == pytest.approx(want, rel=1e-12)
 
-    stats = sufficient_stats(bundle, drift)
-    for r in (0.0, -0.3, 0.7):
-        got = phi_map(r, stats, bundle, drift, hurst, sigma)
-        want = oracle_phi(r, x, t, T, drift.b_prime, h, sigma, d_n, i_n)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    got_y = ybar_fbm(bundle, drift, hurst, sigma)
-    want_y = oracle_ybar(x, t, T, drift.b, drift.b_prime, h, sigma)
-    assert got_y == pytest.approx(want_y, rel=1e-12)
+        got_y = cache.ybar(m)
+        want_y = oracle_ybar(x, t, T, drift.b, drift.b_prime, h, sigma)
+        assert got_y == pytest.approx(want_y, rel=1e-12)
 
 
 @pytest.mark.parametrize("steps,n", [(2, 1), (3, 2)])
@@ -155,7 +151,7 @@ def test_fixed_point_matches_bisection():
         cache = FbmEstimatorCache(bundle, drift, hurst, 1.0)
         stats = cache.stats(5)
         phi = cache.phi(5, stats)
-        r_n, _, residual = fixed_point(phi, 0.5, 200, 1e-14)
+        r_n, _, residual = fixed_point(phi, 200, 1e-14)
         assert residual <= 1e-12
         # Bisection on g(r) = r - phi(r), strictly increasing under contraction.
         lo, hi = -1.0, 1.0
@@ -171,19 +167,19 @@ def test_fixed_point_matches_bisection():
 
 
 def test_fixed_point_trivial_map():
-    r, iters, resid = fixed_point(lambda r: 0.0, 0.5, 50, 1e-12)
+    r, iters, resid = fixed_point(lambda r: 0.0, 50, 1e-12)
     assert (r, iters, resid) == (0.0, 1, 0.0)
 
 
 def test_fixed_point_divergence():
     from fpdrift import DivergenceError
     with pytest.raises(DivergenceError):
-        fixed_point(lambda r: r * 1e16 + 1e308, 0.5, 50, 1e-12)
+        fixed_point(lambda r: r * 1e16 + 1e308, 50, 1e-12)
 
 
 def test_fixed_point_linear_map():
     # phi(r) = 0.5 r + 1 has fixed point 2; geometric convergence from 0.
-    r, iters, resid = fixed_point(lambda r: 0.5 * r + 1.0, 0.5, 200, 1e-13)
+    r, iters, resid = fixed_point(lambda r: 0.5 * r + 1.0, 200, 1e-13)
     assert r == pytest.approx(2.0, abs=1e-12)
     assert resid <= 1e-12
 
@@ -203,6 +199,8 @@ def test_estimate_fbm_structure():
     assert lo < est.theta_tilde < hi
     assert alpha == 0.05
     assert est.ybar >= 0.0
+    with pytest.raises(ValueError):
+        estimate_fbm(bundle, drift_model("model2"), HurstParams(h=0.9), 1.0, alpha=1.5)
 
 
 def test_estimate_fbm_threshold_gating():
@@ -218,7 +216,7 @@ def test_constant_drift_gives_identity_estimate():
     bundle = solution_bundle(model="custom:3", n=4, seed=11)
     drift = drift_model("custom:3")
     est = estimate_fbm(bundle, drift, HurstParams(h=0.9), 1.0)
-    stats = sufficient_stats(bundle, drift)
+    stats = FbmEstimatorCache(bundle, drift, HurstParams(h=0.9), 1.0).stats()
     assert est.r_n == 0.0
     assert est.iterations == 1
     assert est.theta_tilde == pytest.approx(stats.i_n)
@@ -226,14 +224,14 @@ def test_constant_drift_gives_identity_estimate():
 
 def test_check_omega_zero_derivative_trivially_true():
     bundle = solution_bundle(model="custom:3", n=2, seed=1)
-    stats = sufficient_stats(bundle, drift_model("custom:3"))
+    stats = FbmEstimatorCache(bundle, drift_model("custom:3"), HurstParams(h=0.9), 1.0).stats()
     assert check_omega(stats, HurstParams(h=0.9), 1.0, 0.0, 0.75, 0.5)
 
 
 def test_check_omega_scaling():
     bundle = solution_bundle(n=10, seed=3)
-    stats = sufficient_stats(bundle, drift_model("model2"))
     hp = HurstParams(h=0.9)
+    stats = FbmEstimatorCache(bundle, drift_model("model2"), hp, 1.0).stats()
     assert check_omega(stats, hp, 1.0, 1.0, 0.75, 0.5)
     # A huge volatility shrinks the right-hand side below the statistic.
     assert not check_omega(stats, hp, 1e6, 1.0, 0.75, 0.5)
@@ -247,7 +245,7 @@ def test_degenerate_dn_raises():
     bundle = PathBundle(grid=grid, values=np.zeros((1, 3)), kind="solution")
     drift = drift_model("custom:1,0")
     with pytest.raises(DegenerateStatisticsError):
-        compute_IN(bundle, drift, compute_DN(bundle, drift))
+        FbmEstimatorCache(bundle, drift, HurstParams(h=0.9), 1.0).stats()
     with pytest.raises(DegenerateStatisticsError):
         estimate_bm(bundle, drift, sigma=1.0)
     est = BmEstimatorCache(bundle, drift, sigma=1.0).estimate(d_threshold=0.5)
@@ -262,6 +260,8 @@ def test_estimate_bm_aci_and_truncation():
     assert est.d_nn > 0 and est.ybar > 0
     est2 = estimate_bm(bundle, drift_model("model2"), sigma=1.0, d_threshold=1e9)
     assert est2.theta_hat_d == 0.0
+    with pytest.raises(ValueError):
+        estimate_bm(bundle, drift_model("model2"), sigma=1.0, alpha=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +333,10 @@ def test_normal_quantile_inverts_cdf(p):
 def test_phi_nonnegative_for_nonpositive_derivative(seed, n, h, sigma):
     # b' <= 0 makes every summand of the map nonpositive before the minus sign.
     bundle = solution_bundle(model="model2", h=h, sigma=sigma, n=n, seed=seed)
-    drift = drift_model("model2")
-    stats = sufficient_stats(bundle, drift)
+    cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=h), sigma)
+    phi = cache.phi(n, cache.stats(n))
     for r in (0.0, 0.5, -0.5):
-        assert phi_map(r, stats, bundle, drift, HurstParams(h=h), sigma) >= 0.0
+        assert phi(r) >= 0.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -346,11 +346,11 @@ def test_lipschitz_ratio_under_omega(seed, n):
     bundle = solution_bundle(model="model2", h=0.9, n=n, seed=seed)
     drift = drift_model("model2")
     hurst = HurstParams(h=0.9)
-    stats = sufficient_stats(bundle, drift)
+    cache = FbmEstimatorCache(bundle, drift, hurst, 1.0)
+    stats = cache.stats(n)
     if not check_omega(stats, hurst, 1.0, 1.0, 0.75, 0.5):
         return
-    cache = FbmEstimatorCache(bundle, drift, hurst, 1.0)
-    phi = cache.phi(n, cache.stats(n))
+    phi = cache.phi(n, stats)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 2.0, size=8)
     for a in pts[:4]:
