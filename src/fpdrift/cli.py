@@ -229,6 +229,8 @@ def cmd_sweep(cfg: RunConfig, workers: int, grid_spec: str, n_fixed: Optional[in
     e = cfg.experiment
     thresholds = _parse_grid(grid_spec)
     n_fixed = n_fixed if n_fixed is not None else e.n_max
+    if not 1 <= n_fixed <= e.n_max:
+        raise ConfigError(f"--n-fixed: must lie in 1..n_max={e.n_max}, got {n_fixed}")
     report = threshold_sweep(e, thresholds, n_fixed, workers=workers)
     _log(cfg, f"sweep finished in {report.seconds:.2f}s")
     lines = ["threshold,mean_error"]

@@ -9,10 +9,17 @@ one-shot `estimate_fbm`/`estimate_bm` build a cache and evaluate it once.
 All integrals are replaced by left-point Riemann sums on the bundle's grid.
 The singular kernel |t - s|^(2H-2) is only evaluated at distinct nodes since
 inner sums always exclude the diagonal.
+
+Phi_N's double sum over node pairs factorizes as
+e^{s(C_j - C_l)} = e^{sC_j} e^{-sC_l}, so one evaluation costs O(N*steps) `exp`
+calls plus one (N x steps) @ (steps x steps) matmul, and the cache holds
+O(N*steps + steps^2) numbers. The kernels depend only on (H, grid) and are
+built once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateStatisticsError, DivergenceError
-from .fbm import HurstParams, PathBundle
+from .fbm import Grid, HurstParams, PathBundle
 from .sde import DriftModel, VolModel
 
 DEFAULT_CONTRACTION = 0.5
@@ -115,26 +122,46 @@ class EstimateBM:
 # Fixed-point map.
 # ---------------------------------------------------------------------------
 
-def _pair_indices(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered node pairs (j, l) with j = 1..steps and l < j."""
-    j_idx, l_idx = np.tril_indices(steps, k=0)
-    return j_idx + 1, l_idx
+# Largest exponent of a single factor e^{+-sC} in the factorized Phi_N. The
+# matmul sums a factor against one row of tri, so the margin of 32 below
+# ln(DBL_MAX) covers any row sum of tri up to e^32 (~8e13).
+_MAX_FACTOR_EXPONENT = float(np.log(np.finfo(float).max)) - 32.0
 
 
-def _phi_tables(paths: PathBundle, drift: DriftModel, hurst: HurstParams):
-    """Per-pair weights W_i(j,l) = b'(X_i(t_j)) (t_j - t_l)^(2H-2) mesh^2 and
-    exponent bases A_i(j,l) = C_i(t_j) - C_i(t_l)."""
-    t = paths.grid.nodes
-    dt = paths.grid.mesh
-    j_idx, l_idx = _pair_indices(paths.grid.steps)
-    kernel = (t[j_idx] - t[l_idx]) ** (2.0 * hurst.h - 2.0) * dt * dt
-    bp = drift.b_prime(paths.values)
-    # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0.
-    c = np.zeros_like(paths.values)
-    np.cumsum(bp[:, :-1] * dt, axis=1, out=c[:, 1:])
-    w = bp[:, j_idx] * kernel
-    a = c[:, j_idx] - c[:, l_idx]
-    return w, a
+@functools.lru_cache(maxsize=8)
+def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels of one (H, grid), built once per process and shared read-only.
+
+    lag[j, l] = |t_j - t_l|^(2H-2) over nodes t_0..t_nu, zero on the diagonal;
+    tri[j - 1, l] = (t_j - t_l)^(2H-2) mesh^2 for l < j, zero otherwise.
+    A run uses one (H, grid); the bound keeps a long-lived process from holding
+    every kernel it ever built.
+    """
+    t = grid.nodes
+    dt = grid.mesh
+    diff = np.abs(t[:, None] - t[None, :])
+    np.fill_diagonal(diff, 1.0)
+    lag = diff ** (2.0 * hurst.h - 2.0)
+    np.fill_diagonal(lag, 0.0)
+    tri = np.tril(lag[1:, :-1]) * dt * dt
+    lag.flags.writeable = False
+    tri.flags.writeable = False
+    return lag, tri
+
+
+def _phi_factorized(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> float:
+    """sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j over paths whose factors
+    e^{+-sC_i} stay in the float range."""
+    return float(np.vdot(bp * np.exp(s * c[:, 1:]), np.exp(-s * c[:, :-1]) @ tri.T))
+
+
+def _phi_direct(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> float:
+    """One path's sum_{l<j} b'(X(t_j)) tri[j-1, l] e^{s(C_j - C_l)}, term by term."""
+    # tril zeroes the exponents of the pairs l >= j, whose e^0 = 1 meets tri's zeros.
+    e = np.tril(s * np.subtract.outer(c[1:], c[:-1]))
+    np.exp(e, out=e)
+    e *= tri
+    return float(bp @ e.sum(axis=1))
 
 
 def check_omega(
@@ -262,25 +289,15 @@ def _ybar_contributions(
     The quadruple sum factorizes over its two (outer, inner) index pairs into a
     perfect square, so it costs O(steps^2) per path and is never negative.
     """
-    t = paths.grid.nodes
     dt = paths.grid.mesh
-    nu = paths.grid.steps
-    expo = 2.0 * hurst.h - 2.0
+    lag, tri = _kernels(hurst, paths.grid)
     x_nodes = paths.values[:, 1:]  # nodes t_1..t_nu
 
-    diff = np.abs(t[1:, None] - t[None, 1:])
-    kernel = np.zeros((nu, nu))
-    off = ~np.eye(nu, dtype=bool)
-    kernel[off] = diff[off] ** expo
-
     babs = np.abs(drift.b(x_nodes))
-    double_term = hurst.alpha * dt * dt * np.einsum("ij,jk,ik->i", babs, kernel, babs)
+    double_term = hurst.alpha * dt * dt * ((babs @ lag[1:, 1:]) * babs).sum(axis=1)
 
-    # kappa_j = sum_{l<j} (t_j - t_l)^(2H-2) * mesh for j = 1..nu
-    j_idx, l_idx = _pair_indices(nu)
-    kern_pairs = (t[j_idx] - t[l_idx]) ** expo * dt
-    kappa = np.bincount(j_idx - 1, weights=kern_pairs, minlength=nu)
-    s_lin = (drift.b_prime(x_nodes) * kappa * dt).sum(axis=1)
+    # kappa_j mesh = sum_{l<j} (t_j - t_l)^(2H-2) mesh^2, the row sums of tri
+    s_lin = drift.b_prime(x_nodes) @ tri.sum(axis=1)
     quad_term = hurst.alpha**2 * sigma**2 * s_lin**2
 
     return double_term + quad_term
@@ -307,7 +324,16 @@ class FbmEstimatorCache:
         dt = paths.grid.mesh
         self._d_i = (drift.b(x[:, :-1]) ** 2).sum(axis=1) * dt
         self._ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
-        self._w, self._a = _phi_tables(paths, drift, hurst)
+        bp = drift.b_prime(x)
+        # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
+        # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
+        c = np.zeros_like(x)
+        np.cumsum(bp[:, :-1] * dt, axis=1, out=c[:, 1:])
+        c_min, c_max = c.min(axis=1), c.max(axis=1)
+        self._c = c - 0.5 * (c_min + c_max)[:, None]
+        self._c_span = c_max - c_min
+        self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
+        self._tri = _kernels(hurst, paths.grid)[1]
         self._y_i = _ybar_contributions(paths, drift, hurst, sigma)
 
     def stats(self, n: Optional[int] = None) -> SufficientStats:
@@ -316,17 +342,32 @@ class FbmEstimatorCache:
         if d_n <= 0.0:
             raise DegenerateStatisticsError("D_N vanished on this prefix")
         i_n = float(self._ib_i[:n].sum() / (n * self.t_total * d_n))
-        m_n = math.exp(self.drift.sup_norm_b_prime * abs(i_n) * self.t_total)
+        try:
+            m_n = math.exp(self.drift.sup_norm_b_prime * abs(i_n) * self.t_total)
+        except OverflowError:
+            m_n = math.inf  # Omega_N cannot hold; the estimate itself is still defined
         return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n)
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
-        w = self._w[:n].ravel()
-        a = self._a[:n].ravel()
+        """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N.
+
+        A path whose factors e^{+-sC_i} would leave the float range is summed
+        pair by pair instead; the result is the same sum either way.
+        """
+        bp, c, span, tri = self._bp[:n], self._c[:n], self._c_span[:n], self._tri
+        span_max = float(span.max())
         scale = -self.hurst.alpha * self.sigma**2 / (n * self.t_total * stats.d_n)
         i_n = stats.i_n
 
         def _phi(r: float) -> float:
-            return scale * float(np.dot(w, np.exp((r + i_n) * a)))
+            s = r + i_n
+            # An overflow surfaces as a non-finite value, which fixed_point reports.
+            with np.errstate(all="ignore"):
+                if 0.5 * abs(s) * span_max <= _MAX_FACTOR_EXPONENT:
+                    return scale * _phi_factorized(s, bp, c, tri)
+                direct = 0.5 * abs(s) * span > _MAX_FACTOR_EXPONENT
+                total = sum(_phi_direct(s, bp[i], c[i], tri) for i in np.flatnonzero(direct))
+                return scale * (total + _phi_factorized(s, bp[~direct], c[~direct], tri))
 
         return _phi
 

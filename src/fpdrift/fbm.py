@@ -8,6 +8,7 @@ the Cholesky factor of the correlation matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,15 @@ def fbm_covariance(hurst: HurstParams, grid: Grid) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
+@functools.lru_cache(maxsize=8)
+def _time_factor(hurst: HurstParams, grid: Grid) -> np.ndarray:
+    """Cholesky factor of the node covariance, a pure function of (H, grid):
+    built once per process and shared read-only."""
+    factor = _cholesky_psd(fbm_covariance(hurst, grid))
+    factor.flags.writeable = False
+    return factor
+
+
 def sample_fbm_bundle(
     hurst: HurstParams,
     grid: Grid,
@@ -158,7 +168,7 @@ def sample_fbm_bundle(
     rng: np.random.Generator,
 ) -> PathBundle:
     """Draw an exact Gaussian bundle with Cov(B^i_s, B^k_t) = R_ik * R_H(s, t)."""
-    l_time = _cholesky_psd(fbm_covariance(hurst, grid))
+    l_time = _time_factor(hurst, grid)
     z = rng.standard_normal((corr.size, grid.steps))
     paths = z @ l_time.T
     if not corr.is_identity:

@@ -83,6 +83,16 @@ class ExperimentConfig:
             pts = tuple(self.eval_points)
             if not pts or any(not 1 <= p <= self.n_max for p in pts) or list(pts) != sorted(set(pts)):
                 raise ConfigError("eval_points must be strictly increasing values in 1..n_max")
+        q = self.corr_block
+        if q < 1:
+            raise ConfigError(f"corr_block: must be >= 1, got {q}")
+        # One bundle of n_max copies, or with fresh paths one bundle per eval point.
+        for n in (self.points if self.fresh_paths_per_n else (self.n_max,)):
+            if n % q:
+                raise ConfigError(f"corr_block: {q} does not divide the bundle size {n}")
+        if q > 1 and not -1.0 / (q - 1) < self.corr_rho <= 1.0:
+            raise ConfigError(f"corr_rho: must lie in (-1/(corr_block - 1), 1] = "
+                              f"({-1.0 / (q - 1):.17g}, 1] for corr_block={q}, got {self.corr_rho}")
 
     @property
     def points(self) -> tuple[int, ...]:

@@ -172,10 +172,14 @@ def test_estimate_missing_input_is_io_error(tmp_path):
 @pytest.mark.parametrize("setting", [
     "H=1.5", "model=foo", "max_iters=0", "contraction=1.5", "tol=-1",
     "steps=0", "alpha=1.5", "T=0",
+    # n_max = 50; the first key is the one the message must name.
+    "corr_block=0", "corr_block=3", "corr_block=2 fresh_paths_per_n=true",
+    "corr_rho=-1.5 corr_block=2", "corr_rho=1.5 corr_block=5",
 ])
 def test_validation_error_exit_code(tmp_path, capsys, setting):
+    sets = [arg for item in setting.split() for arg in ("--set", item)]
     code = run_cli("experiment", "--set", "model=model2", "--set", "H=0.9",
-                   "--set", "T=0.75", "--set", "sigma=1", "--set", setting,
+                   "--set", "T=0.75", "--set", "sigma=1", *sets,
                    "--out", str(tmp_path))
     assert code == 2
     err = capsys.readouterr().err
@@ -183,27 +187,53 @@ def test_validation_error_exit_code(tmp_path, capsys, setting):
     assert setting.split("=")[0] in err
 
 
-@pytest.mark.parametrize("bundle_csv,expected", [
-    (None, 3),
+@pytest.mark.parametrize("n_fixed", ["0", "9"])
+def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
+    code = run_cli("sweep", *common_args(tmp_path), "--set", "n_max=5",
+                   "--grid", "0.5:0.1:3", "--n-fixed", n_fixed)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--n-fixed" in err
+
+
+@pytest.mark.parametrize("case,expected", [
+    # b(x) = x^2 from x0 = 5 overflows within the 20 Euler steps.
+    (("experiment", "--set", "model=custom:1,0,0", "--set", "H=0.9", "--set", "T=1",
+      "--set", "sigma=1", "--set", "replications=1", "--set", "n_max=2"), 3),
     ("t,path_1\n0,5\n0.5,abc\n1,3\n", 2),
     ("t,path_1\n0,5\n0.5,4,7\n1,3\n", 2),
     ("t,path_1\n0,5\n0.5,nan\n1,3\n", 2),
-], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell"])
-def test_bad_simulation_or_input_exit_code(tmp_path, capsys, bundle_csv, expected):
-    if bundle_csv is None:
-        # b(x) = x^2 from x0 = 5 overflows within the 20 Euler steps.
-        code = run_cli("experiment", "--set", "model=custom:1,0,0", "--set", "H=0.9",
-                       "--set", "T=1", "--set", "sigma=1", "--set", "replications=1",
-                       "--set", "n_max=2", "--out", str(tmp_path), "--workers", "1")
+    # The paths stay finite, but Phi_N overflows on the first Picard step.
+    (("estimate", "--set", "model=custom:0.5,0,0", "--set", "T=0.5", "--set", "H=0.7",
+      "--set", "sigma=1"), 3),
+], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow"])
+def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
+    if isinstance(case, tuple):
+        code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")
     else:
         path = tmp_path / "bundle.csv"
-        path.write_text(bundle_csv, encoding="utf-8")
+        path.write_text(case, encoding="utf-8")
         code = run_cli("estimate", *common_args(tmp_path), "--input", str(path))
     assert code == expected
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if bundle_csv is not None:
+    if not isinstance(case, tuple):
         assert str(tmp_path / "bundle.csv") in err
+
+
+def test_stiff_drift_estimate_without_omega(tmp_path):
+    # sup|b'| |I_N| T is ~1500, so M_N = e^1500 is out of the float range and
+    # Omega_N cannot hold; |s| span(C) ~ 1500 puts both paths on the
+    # pair-by-pair sum of Phi_N. The value is that of a sum over every pair
+    # (j, l) with no factorization.
+    code = run_cli("estimate", "--set", "model=custom:-6000,0", "--set", "T=0.5",
+                   "--set", "steps=3000", "--set", "H=0.7", "--set", "sigma=1",
+                   "--set", "n_max=2", "--seed", "0", "--out", str(tmp_path))
+    assert code == 0
+    record = json.loads((tmp_path / "estimate.json").read_text())
+    assert record["omega_holds"] is False
+    assert record["theta_tilde"] == pytest.approx(0.4998889914620243, rel=1e-12, abs=0.0)
 
 
 def test_degenerate_statistics_exit_code(tmp_path):

@@ -99,7 +99,7 @@ def oracle_bm(x, t, T, b):
     return (v / (n * T)) / (d / (n * T))
 
 
-@pytest.mark.parametrize("steps,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("steps,n", [(2, 1), (2, 2), (3, 1), (3, 2), (12, 3)])
 @pytest.mark.parametrize("model", ["model1", "model2"])
 def test_small_grid_oracles(steps, n, model):
     h, sigma = 0.8, 0.5
@@ -118,9 +118,12 @@ def test_small_grid_oracles(steps, n, model):
         assert i_n == pytest.approx(oracle_in(x, T, drift.antiderivative, d_n), rel=1e-12)
 
         phi = cache.phi(m, stats)
-        for r in (0.0, -0.3, 0.7):
+        # On model2 span(C) = T = 0.5: at r = 2000 the factors e^{+-sC} are only
+        # finite once C is centred, and r = 3000 is summed pair by pair. Phi is
+        # ~1e-40 there, so approx's default abs floor of 1e-12 is switched off.
+        for r in (0.0, -0.3, 0.7, 2000.0, 3000.0):
             want = oracle_phi(r, x, t, T, drift.b_prime, h, sigma, d_n, i_n)
-            assert phi(r) == pytest.approx(want, rel=1e-12)
+            assert phi(r) == pytest.approx(want, rel=1e-12, abs=0.0)
 
         got_y = cache.ybar(m)
         want_y = oracle_ybar(x, t, T, drift.b, drift.b_prime, h, sigma)
