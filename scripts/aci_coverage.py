@@ -10,13 +10,13 @@ Usage: python3 scripts/aci_coverage.py [--seed SEED] [--workers K]
 
 import argparse
 
-from fpdrift import coverage_experiment, parse_config
+from fpdrift import coverage_experiment, default_workers, parse_config
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=default_workers())
     args = ap.parse_args()
 
     fbm_cfg = parse_config(overrides=[

@@ -8,7 +8,7 @@ Usage: python3 scripts/reproduce_error_table.py [--seed SEED] [--workers K]
 import argparse
 import time
 
-from fpdrift import parse_config, run_experiment
+from fpdrift import default_workers, parse_config, run_experiment
 
 CASES = [
     ("model1", 0.7),
@@ -21,7 +21,7 @@ CASES = [
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=default_workers())
     ap.add_argument("--replications", type=int, default=100)
     args = ap.parse_args()
 

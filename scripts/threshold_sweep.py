@@ -10,7 +10,7 @@ Usage: python3 scripts/threshold_sweep.py [--seed SEED] [--workers K]
 
 import argparse
 
-from fpdrift import parse_config, threshold_sweep
+from fpdrift import default_workers, parse_config, threshold_sweep
 
 GRIDS = {
     # model: (start, step, count); horizon and sigma come from the model's preset
@@ -22,7 +22,7 @@ GRIDS = {
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=4)
+    ap.add_argument("--workers", type=int, default=default_workers())
     ap.add_argument("--n-fixed", type=int, default=15)
     args = ap.parse_args()
 

@@ -54,6 +54,7 @@ from .montecarlo import (
     SummaryReport,
     TrialResult,
     coverage_experiment,
+    default_workers,
     run_experiment,
     run_trial,
     run_trials,
@@ -101,6 +102,7 @@ __all__ = [
     "SummaryReport",
     "TrialResult",
     "coverage_experiment",
+    "default_workers",
     "run_experiment",
     "run_trial",
     "run_trials",

@@ -22,6 +22,7 @@ from .estimators import FbmEstimatorCache, BmEstimatorCache
 from .fbm import PathBundle, Grid
 from .montecarlo import (
     coverage_experiment,
+    default_workers,
     run_experiment,
     simulate_bundle,
     threshold_sweep,
@@ -276,8 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"master seed (default: ${SEED_ENV_VAR} if set, else config)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel trial workers; must not affect results")
+        p.add_argument("--workers", type=int, default=default_workers(),
+                       help="parallel trial workers (default: the CPUs this process "
+                            "may use); results do not depend on it")
         if name == "estimate":
             p.add_argument("--input", default=None,
                            help="bundle CSV to estimate from (default: simulate)")
@@ -292,6 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
         seed = args.seed
         if seed is None and SEED_ENV_VAR in os.environ:
             try:

@@ -391,8 +391,10 @@ class FbmEstimatorCache:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         n = self.paths.n_paths if n is None else n
         stats = self.stats(n)
-        omega = check_omega(stats, self.hurst, self.sigma,
-                            self.drift.sup_norm_b_prime, self.t_total, c)
+        # With b' unbounded, the probe-interval sup|b'| is no bound on the
+        # paths, so it may set the iteration count but never certify Omega_N.
+        omega = self.drift.b_prime_bounded and check_omega(
+            stats, self.hurst, self.sigma, self.drift.sup_norm_b_prime, self.t_total, c)
         if max_iters is None:
             max_iters = iteration_schedule(n, c, self.t_total,
                                            self.drift.sup_norm_b_prime, self.hurst)

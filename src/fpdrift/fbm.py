@@ -147,9 +147,16 @@ def fbm_covariance(hurst: HurstParams, grid: Grid) -> np.ndarray:
     """Covariance matrix 0.5*(s^2H + t^2H - |t-s|^2H) at nodes t_1..t_steps."""
     t = grid.nodes[1:]
     two_h = 2.0 * hurst.h
-    s, u = np.meshgrid(t, t, indexing="ij")
-    cov = 0.5 * (s**two_h + u**two_h - np.abs(u - s) ** two_h)
-    return 0.5 * (cov + cov.T)
+    t2h = t**two_h
+    # At most two steps x steps arrays are live. Both terms are symmetric in
+    # (i, j) bit for bit, so cov is too.
+    lag = np.subtract.outer(t, t)
+    np.abs(lag, out=lag)
+    lag **= two_h
+    cov = t2h[:, None] + t2h[None, :]
+    cov -= lag
+    cov *= 0.5
+    return cov
 
 
 @functools.lru_cache(maxsize=8)

@@ -11,7 +11,9 @@ trials are scheduled across workers.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -242,14 +244,72 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     )
 
 
+def default_workers() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS mapped into this process,
+    or None where there is none or no /proc to find it in."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = {parts[5].strip() for parts in (line.split(None, 5) for line in fh)
+                     if len(parts) == 6 and "openblas" in parts[5]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one OpenBLAS thread, restoring the count on exit.
+
+    Processes forked inside the block inherit the setting, so each starts with
+    no BLAS helper thread and a pool of k workers keeps k threads busy, not
+    k times the core count. Where no OpenBLAS is found this does nothing;
+    results are the same either way.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     """All replications, aggregated in trial-index order regardless of workers."""
     indices = range(config.replications)
     if workers <= 1 or config.replications == 1:
         return [run_trial(config, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    workers = min(workers, config.replications)
+    chunksize = math.ceil(config.replications / (4 * workers))
+    with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves input order, so aggregation order is fixed.
-        return list(pool.map(partial(run_trial, config), indices, chunksize=1))
+        return list(pool.map(partial(run_trial, config), indices, chunksize=chunksize))
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryReport, list[TrialResult]]:

@@ -18,7 +18,8 @@ class DriftModel:
     `antiderivative` satisfies antiderivative' = b (integration constant 0);
     only differences of it are ever used. `sup_b_prime` is sup b' (the constant
     M), `sup_norm_b_prime` is sup |b'|, and `square_lower_bound` is an optional
-    known lower bound on b(x)^2.
+    known lower bound on b(x)^2. `b_prime_bounded` is False when b' is unbounded
+    on the line, so that the two sups are only taken over a probe interval.
     """
 
     name: str
@@ -28,6 +29,7 @@ class DriftModel:
     sup_b_prime: float
     sup_norm_b_prime: float
     square_lower_bound: Optional[float] = None
+    b_prime_bounded: bool = True
 
     def validate(self, probe: np.ndarray, h: float = 1e-5, tol: float = 1e-6) -> None:
         """Finite-difference consistency check of b_prime and antiderivative on a probe set."""
@@ -112,8 +114,8 @@ _CUSTOM_PROBE = np.linspace(-10.0, 10.0, 401)
 def _custom_polynomial(coeffs: list[float]) -> DriftModel:
     """Drift b given by polynomial coefficients (highest degree first).
 
-    Derivative bounds are taken over a fixed probe interval since a polynomial
-    derivative is generally unbounded on the whole line.
+    Derivative bounds are taken over a fixed probe interval, since b' is
+    unbounded on the whole line unless it is constant (degree <= 1).
     """
     poly = np.polynomial.Polynomial(list(reversed([float(c) for c in coeffs])))
     dpoly = poly.deriv()
@@ -127,6 +129,7 @@ def _custom_polynomial(coeffs: list[float]) -> DriftModel:
         sup_b_prime=float(bp.max()),
         sup_norm_b_prime=float(np.abs(bp).max()),
         square_lower_bound=None,
+        b_prime_bounded=not np.any(dpoly.coef[1:]),
     )
 
 

@@ -187,6 +187,17 @@ def test_validation_error_exit_code(tmp_path, capsys, setting):
     assert setting.split("=")[0] in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_code(tmp_path, capsys, workers):
+    code = run_cli("experiment", "--set", "model=model2", "--set", "H=0.9",
+                   "--set", "T=0.75", "--set", "sigma=1", "--set", "replications=2",
+                   "--set", "n_max=2", "--out", str(tmp_path), "--workers", workers)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--workers" in err
+
+
 @pytest.mark.parametrize("n_fixed", ["0", "9"])
 def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     code = run_cli("sweep", *common_args(tmp_path), "--set", "n_max=5",

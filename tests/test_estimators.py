@@ -242,6 +242,22 @@ def test_check_omega_scaling():
         check_omega(stats, hp, 1.0, 1.0, 0.75, 1.5)
 
 
+def test_omega_never_certified_with_unbounded_b_prime():
+    # b(x) = -0.1 x^2 from x0 = 20: sup|b'| over the probe interval [-10, 10]
+    # is 2, but |b'| = 0.2 |x| is about 4 on the paths. The probe bound would
+    # certify Omega_N; b' is unbounded, so the certificate must not hold.
+    drift = drift_model("custom:-0.1,0,0")
+    hurst = HurstParams(h=0.9)
+    bundle = solution_bundle(model="custom:-0.1,0,0", h=0.9, horizon=0.05, sigma=0.25,
+                             x0=20.0, n=50, seed=0)
+    assert np.abs(drift.b_prime(bundle.values)).max() > 1.5 * drift.sup_norm_b_prime
+    cache = FbmEstimatorCache(bundle, drift, hurst, 0.25)
+    assert check_omega(cache.stats(), hurst, 0.25, drift.sup_norm_b_prime, 0.05, 0.5)
+    est = cache.estimate(enforce_omega=True)
+    assert not est.omega_holds
+    assert est.theta_tilde == 0.0 and est.theta_tilde_c == 0.0
+
+
 def test_degenerate_dn_raises():
     grid = Grid(horizon=1.0, steps=2)
     # Drift b(x) = x is zero along the zero path, so D_N = 0.

@@ -56,6 +56,18 @@ def test_covariance_formula_pointwise(h, s, t):
             assert cov[i, j] == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("h,horizon,steps", [(0.5, 1.0, 1), (0.7, 0.5, 37),
+                                               (0.9, 0.75, 20), (0.55, 3.0, 200)])
+def test_covariance_matches_meshgrid_formula(h, horizon, steps):
+    t = Grid(horizon=horizon, steps=steps).nodes[1:]
+    s, u = np.meshgrid(t, t, indexing="ij")
+    two_h = 2.0 * h
+    want = 0.5 * (s**two_h + u**two_h - np.abs(u - s) ** two_h)
+    got = fbm_covariance(HurstParams(h=h), Grid(horizon=horizon, steps=steps))
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, got.T)
+
+
 @pytest.mark.parametrize("h", [0.5, 0.6, 0.75, 0.9])
 def test_covariance_is_psd(h):
     cov = fbm_covariance(HurstParams(h=h), Grid(horizon=1.0, steps=12))

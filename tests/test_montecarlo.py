@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from fpdrift import (
     summarize,
     threshold_sweep,
 )
+from fpdrift import montecarlo
 from fpdrift.errors import ConfigError
 from tests.conftest import model2_config
 
@@ -64,14 +69,38 @@ def test_constant_drift_trajectory_is_identity_statistic():
     assert np.all(t.r_n == 0.0)
 
 
-def test_workers_do_not_change_results():
-    cfg = model2_config(replications=4)
+# (11, 2) leaves a partial last chunk; (3, 5) has more workers than trials.
+@pytest.mark.parametrize("replications,workers", [(4, 3), (11, 2), (3, 5)])
+def test_workers_do_not_change_results(replications, workers):
+    cfg = model2_config(replications=replications)
     serial = run_trials(cfg, workers=1)
-    parallel = run_trials(cfg, workers=3)
+    parallel = run_trials(cfg, workers=workers)
+    assert len(parallel) == replications
     for a, b in zip(serial, parallel):
         assert a.trial_index == b.trial_index
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.aci_upper, b.aci_upper)
+
+
+def _worker_threads(_):
+    a = np.ones((200, 200))
+    a @ a
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_pool_workers_run_one_blas_thread():
+    api = montecarlo._openblas_threads()
+    if api is None:
+        pytest.skip("no OpenBLAS mapped into this process")
+    get = api[0]
+    before = get()
+    fork = multiprocessing.get_context("fork")
+    with montecarlo._one_blas_thread():
+        assert get() == 1
+        with ProcessPoolExecutor(max_workers=2, mp_context=fork) as pool:
+            assert list(pool.map(_worker_threads, range(2))) == [1, 1]
+    assert get() == before
 
 
 def test_run_experiment_single_replication():

@@ -23,6 +23,14 @@ def test_catalog_models_self_consistent(name):
     drift_model(name).validate(PROBE)
 
 
+@pytest.mark.parametrize("name,bounded", [
+    ("model1", True), ("model2", True), ("custom:2", True), ("custom:-6000,0", True),
+    ("custom:0,1,0", True), ("custom:-0.1,0,0", False), ("custom:1,0,-2", False),
+])
+def test_b_prime_bounded(name, bounded):
+    assert drift_model(name).b_prime_bounded is bounded
+
+
 def test_model1_values():
     m = drift_model("model1")
     assert m.b(0.0) == pytest.approx(np.pi)
