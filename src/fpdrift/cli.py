@@ -182,6 +182,15 @@ def _write_summary(cfg: RunConfig, report) -> None:
     _write_report(cfg, "summary", [header, row], payload)
 
 
+def _warn_untruncated(cfg: RunConfig, report, n: int) -> None:
+    """Say on stderr when the estimates reported at N = n include some taken
+    where Omega_N did not hold."""
+    if report.omega_failed and not cfg.experiment.enforce_omega:
+        print(f"warning: Omega_N did not hold at N = {n} in {report.omega_failed} of "
+              f"{report.n_trials} trials; the reported estimates and intervals are the "
+              f"untruncated ones (enforce_omega=true truncates them)", file=sys.stderr)
+
+
 def _trajectory_lines(trials) -> list[str]:
     lines = ["trial,N,estimate,aci_lower,aci_upper"]
     for t in trials:
@@ -209,6 +218,7 @@ def cmd_experiment(cfg: RunConfig, workers: int) -> int:
     report, trials = run_experiment(e, workers=workers)
     _log(cfg, f"experiment finished in {report.seconds:.2f}s "
               f"(mean_error={report.mean_error:.6g})")
+    _warn_untruncated(cfg, report, e.points[-1])
     _write_summary(cfg, report)
     traj_payload = {
         "trials": [
@@ -247,6 +257,7 @@ def cmd_coverage(cfg: RunConfig, workers: int) -> int:
     report = coverage_experiment(cfg.experiment, workers=workers)
     _log(cfg, f"coverage run finished in {report.seconds:.2f}s "
               f"(coverage={report.coverage:.3f})")
+    _warn_untruncated(cfg, report, cfg.experiment.n_max)
     _write_summary(cfg, report)
     return EXIT_OK
 

@@ -9,6 +9,7 @@ experiments so they can be reproduced with a one-line config.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -85,11 +86,12 @@ def _coerce(key: str, value: Any) -> Any:
         if key in _FLOAT_KEYS:
             if isinstance(value, bool):
                 raise ConfigError(f"{key}: expected a number, got {value!r}")
-            if isinstance(value, (int, float)):
-                return float(value)
-            if isinstance(value, str):
-                return float(value)
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
+            if not isinstance(value, (int, float, str)):
+                raise ConfigError(f"{key}: expected a number, got {value!r}")
+            number = float(value)
+            if not math.isfinite(number):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
+            return number
         if key == "eval_points":
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v.strip()]

@@ -11,7 +11,8 @@ class DegenerateStatisticsError(FpdriftError):
 
 class DivergenceError(FpdriftError):
     """A computation produced non-finite values: the fixed-point iteration
-    diverged, or the Euler scheme blew up (an explosive drift on this horizon)."""
+    diverged, the Euler scheme blew up (an explosive drift on this horizon), or
+    the fBm covariance overflowed (a horizon too long for the float range)."""
 
 
 class ConfigError(FpdriftError):

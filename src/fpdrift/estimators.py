@@ -11,10 +11,18 @@ The singular kernel |t - s|^(2H-2) is only evaluated at distinct nodes since
 inner sums always exclude the diagonal.
 
 Phi_N's double sum over node pairs factorizes as
-e^{s(C_j - C_l)} = e^{sC_j} e^{-sC_l}, so one evaluation costs O(N*steps) `exp`
-calls plus one (N x steps) @ (steps x steps) matmul, and the cache holds
-O(N*steps + steps^2) numbers. The kernels depend only on (H, grid) and are
-built once per process.
+e^{s(C_j - C_l)} = e^{sC_j} e^{-sC_l}, so one exact evaluation costs
+O(N*steps) `exp` calls plus one (N x steps) @ (steps x steps) matmul, and the
+cache holds O(N*steps + steps^2) numbers. The kernels depend only on (H, grid)
+and are built once per process.
+
+A proper prefix n < N (the Monte Carlo engine solves every N = 1..n_max on one
+bundle) is served instead from a Taylor table of Phi_N about s0 = I of the full
+bundle: K = 10 moments per path, prefix-summed, built once per cache at the
+cost of about K exact evaluations. A Picard step is then a degree-K Horner
+evaluation, O(K) whatever N and steps are. The table value is used only when a
+bound on its Taylor remainder and rounding is below 1e-13 of it; otherwise, and
+always on the full bundle, the exact sum is evaluated.
 """
 
 from __future__ import annotations
@@ -55,9 +63,12 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 
 
+@functools.lru_cache(maxsize=64)
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF via Acklam's rational approximation,
-    refined with one Halley step (accuracy well below 1e-8)."""
+    refined with one Halley step (accuracy well below 1e-8).
+
+    Memoized: a run asks for the same one or two levels on every prefix."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
     p_low, p_high = 0.02425, 1.0 - 0.02425
@@ -147,6 +158,16 @@ def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     lag.flags.writeable = False
     tri.flags.writeable = False
     return lag, tri
+
+
+# Taylor table of Phi_N on proper prefixes: order K, and the bound on the
+# relative error of a value it serves.
+_TAYLOR_ORDER = 10
+_TAYLOR_RTOL = 1e-13
+_TAYLOR_INV_FACT = 1.0 / math.factorial(_TAYLOR_ORDER)
+_EPS = float(np.finfo(float).eps)
+# Past this y = |s - s0| A_n the remainder term alone exceeds the tolerance.
+_TAYLOR_Y_MAX = (_TAYLOR_RTOL * math.factorial(_TAYLOR_ORDER)) ** (1.0 / _TAYLOR_ORDER)
 
 
 def _phi_factorized(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> float:
@@ -332,6 +353,7 @@ class FbmEstimatorCache:
         c_min, c_max = c.min(axis=1), c.max(axis=1)
         self._c = c - 0.5 * (c_min + c_max)[:, None]
         self._c_span = c_max - c_min
+        self._c_reach = np.maximum.accumulate(self._c_span)  # widest span of each prefix
         self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
         self._tri = _kernels(hurst, paths.grid)[1]
         self._y_i = _ybar_contributions(paths, drift, hurst, sigma)
@@ -351,12 +373,44 @@ class FbmEstimatorCache:
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N.
 
+        On a proper prefix n < n_paths the sum comes from the Taylor table
+        whenever its certified error bound allows, and from `_phi_exact`
+        otherwise; the full bundle always takes `_phi_exact`.
+        """
+        exact = self._phi_exact(n, stats)
+        table = self._taylor if n < self.paths.n_paths else None
+        if table is None:
+            return exact
+        s0, moments, weights = table
+        scale = self._scale(n, stats)
+        i_n = stats.i_n
+        coeffs = moments[n - 1, ::-1].tolist()
+        weight, reach = float(weights[n - 1]), float(self._c_reach[n - 1])
+
+        def _phi(r: float) -> float:
+            x = (r + i_n) - s0
+            y = abs(x) * reach
+            if y <= _TAYLOR_Y_MAX:
+                v = 0.0
+                for coef in coeffs:
+                    v = v * x + coef
+                # Taylor remainder plus the rounding of the binomial moments.
+                if weight * math.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
+                                           + _TAYLOR_ORDER * _EPS) <= _TAYLOR_RTOL * abs(v):
+                    return scale * v
+            return exact(r)
+
+        return _phi
+
+    def _phi_exact(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
+        """Phi_N as the factorized sum over the first n paths.
+
         A path whose factors e^{+-sC_i} would leave the float range is summed
         pair by pair instead; the result is the same sum either way.
         """
         bp, c, span, tri = self._bp[:n], self._c[:n], self._c_span[:n], self._tri
-        span_max = float(span.max())
-        scale = -self.hurst.alpha * self.sigma**2 / (n * self.t_total * stats.d_n)
+        span_max = float(self._c_reach[n - 1])
+        scale = self._scale(n, stats)
         i_n = stats.i_n
 
         def _phi(r: float) -> float:
@@ -370,6 +424,49 @@ class FbmEstimatorCache:
                 return scale * (total + _phi_factorized(s, bp[~direct], c[~direct], tri))
 
         return _phi
+
+    def _scale(self, n: int, stats: SufficientStats) -> float:
+        return -self.hurst.alpha * self.sigma**2 / (n * self.t_total * stats.d_n)
+
+    @functools.cached_property
+    def _taylor(self) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
+        """(s0, moments, weights): Phi_N's Taylor moments about s0 = I of the
+        full bundle, prefix-summed over paths, or None where the full bundle
+        gives no finite table. moments[n - 1, k] = sum_{i<=n} mu_ik and
+        weights[n - 1] = sum_{i<=n} sum_{(j,l)} |w| e^{s0 a}.
+
+        mu_ik = sum_{(j,l)} w e^{s0 a} a^k / k! with a = C_j - C_l is built in
+        the binomial form sum_{m+p=k} <P_m, Q_p>_i, where
+        P_m = b' e^{s0 C_j} C_j^m / m! and Q_p = (e^{-s0 C_l} (-C_l)^p / p!) @ tri.T,
+        which takes K products with tri and no table over node pairs.
+        """
+        try:
+            s0 = self.stats().i_n
+        except DegenerateStatisticsError:
+            return None
+        if not 0.5 * abs(s0) * float(self._c_reach[-1]) <= _MAX_FACTOR_EXPONENT:
+            return None  # the factors e^{+-s0 C} leave the float range (or s0 is NaN)
+        c_j, c_l, tri = self._c[:, 1:], self._c[:, :-1], self._tri
+        with np.errstate(all="ignore"):
+            up = np.exp(s0 * c_j)
+            p_m = np.empty((_TAYLOR_ORDER,) + c_j.shape)
+            p_m[0] = self._bp * up
+            for m in range(1, _TAYLOR_ORDER):
+                np.multiply(p_m[m - 1], c_j / m, out=p_m[m])
+            q = np.exp(-s0 * c_l)
+            q_tri = q @ tri.T
+            # tri >= 0 and e^{-s0 C} > 0, so Q_0 also weighs |w|.
+            weights = np.cumsum(np.einsum("ij,ij->i", np.abs(self._bp) * up, q_tri))
+            moments = np.zeros((c_j.shape[0], _TAYLOR_ORDER))
+            for p in range(_TAYLOR_ORDER):
+                if p:
+                    q *= -c_l / p
+                    q_tri = q @ tri.T
+                moments[:, p:] += np.einsum("mij,ij->im", p_m[:_TAYLOR_ORDER - p], q_tri)
+            np.cumsum(moments, axis=0, out=moments)
+        if not (np.isfinite(moments).all() and np.isfinite(weights).all()):
+            return None
+        return s0, moments, weights
 
     def ybar(self, n: int) -> float:
         return float(self.sigma**2 / (n * self.t_total**2) * self._y_i[:n].sum())

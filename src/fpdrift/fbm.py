@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DivergenceError
+
 # Pivot tolerance for positive-semidefiniteness checks.
 PSD_TOL = 1e-10
 
@@ -144,18 +146,25 @@ def _cholesky_psd(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 
 
 def fbm_covariance(hurst: HurstParams, grid: Grid) -> np.ndarray:
-    """Covariance matrix 0.5*(s^2H + t^2H - |t-s|^2H) at nodes t_1..t_steps."""
+    """Covariance matrix 0.5*(s^2H + t^2H - |t-s|^2H) at nodes t_1..t_steps.
+
+    Raises DivergenceError when an entry leaves the float range.
+    """
     t = grid.nodes[1:]
     two_h = 2.0 * hurst.h
-    t2h = t**two_h
     # At most two steps x steps arrays are live. Both terms are symmetric in
-    # (i, j) bit for bit, so cov is too.
-    lag = np.subtract.outer(t, t)
-    np.abs(lag, out=lag)
-    lag **= two_h
-    cov = t2h[:, None] + t2h[None, :]
-    cov -= lag
-    cov *= 0.5
+    # (i, j) bit for bit, so cov is too. An overflow is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2h = t**two_h
+        lag = np.subtract.outer(t, t)
+        np.abs(lag, out=lag)
+        lag **= two_h
+        cov = t2h[:, None] + t2h[None, :]
+        cov -= lag
+        cov *= 0.5
+    if not np.isfinite(cov).all():
+        raise DivergenceError(f"the fBm covariance overflows on the horizon T={grid.horizon:g} "
+                              f"at H={hurst.h:g}")
     return cov
 
 

@@ -144,6 +144,7 @@ class SummaryReport:
     seconds: float
     n_trials: int
     per_threshold: Optional[list[tuple[float, float]]] = None
+    omega_failed: int = 0  # trials whose last eval point was evaluated off Omega_N
 
     def __post_init__(self):
         if not math.isnan(self.coverage) and not 0.0 <= self.coverage <= 1.0:
@@ -320,9 +321,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryR
     mean, std = summarize(errors)
     covered = [t.covers(config.theta0) for t in trials]
     coverage = float(np.mean(covered))
+    omega_failed = sum(not t.omega[-1] for t in trials if not math.isnan(t.estimates[-1]))
     seconds = time.perf_counter() - start
     report = SummaryReport(mean_error=mean, std_error=std, coverage=coverage,
-                           seconds=seconds, n_trials=len(trials))
+                           seconds=seconds, n_trials=len(trials), omega_failed=omega_failed)
     return report, trials
 
 

@@ -175,6 +175,7 @@ def test_estimate_missing_input_is_io_error(tmp_path):
     # n_max = 50; the first key is the one the message must name.
     "corr_block=0", "corr_block=3", "corr_block=2 fresh_paths_per_n=true",
     "corr_rho=-1.5 corr_block=2", "corr_rho=1.5 corr_block=5",
+    "T=inf", "sigma=nan", "theta0=nan", "x0=nan", "d_threshold=nan",
 ])
 def test_validation_error_exit_code(tmp_path, capsys, setting):
     sets = [arg for item in setting.split() for arg in ("--set", item)]
@@ -218,7 +219,11 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     # The paths stay finite, but Phi_N overflows on the first Picard step.
     (("estimate", "--set", "model=custom:0.5,0,0", "--set", "T=0.5", "--set", "H=0.7",
       "--set", "sigma=1"), 3),
-], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow"])
+    # A finite horizon whose T^2H, and so the fBm covariance, is out of the float range.
+    (("experiment", "--set", "model=model2", "--set", "H=0.7", "--set", "T=1e308",
+      "--set", "n_max=2", "--set", "replications=1"), 3),
+], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
+        "fbm-overflow"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")
@@ -231,6 +236,47 @@ def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     assert err.startswith("error: ") and err.count("\n") == 1
     if not isinstance(case, tuple):
         assert str(tmp_path / "bundle.csv") in err
+
+
+def test_fbm_overflow_exit_code_in_pool(tmp_path, capsys):
+    code = run_cli("experiment", "--set", "model=model2", "--set", "H=0.7",
+                   "--set", "T=1e308", "--set", "n_max=2", "--set", "replications=2",
+                   "--out", str(tmp_path), "--workers", "2")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "covariance" in err
+
+
+# sha256 of the files these runs wrote before the Omega_N warning existed.
+OMEGA_WARNING_FILES = {
+    "summary.csv": "d5714c7906c6a15ba2ac76344273ca10bad41a8d2aca713a8c212a27c53b26f2",
+    "trajectories.csv": "6d7d7803e736ccb44249acfaa4706df9922d809a01b08adc30cb6295273875a3",
+}
+
+
+@pytest.mark.parametrize("command,files", [
+    ("experiment", ["summary.csv", "trajectories.csv"]),
+    ("coverage", ["summary.csv"]),
+])
+def test_untruncated_estimates_warn_when_omega_fails(tmp_path, capsys, command, files):
+    import hashlib
+    # On T = 2.5, Omega_N fails at N = 10 in 5 of these 20 trials.
+    args = ["--set", "model=model2", "--set", "H=0.7", "--set", "T=2.5",
+            "--set", "n_max=10", "--set", "eval_points=10", "--set", "replications=20",
+            "--seed", "3", "--workers", "1"]
+    assert run_cli(command, *args, "--out", str(tmp_path / "raw")) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    assert "5 of 20 trials" in err and "N = 10" in err
+    assert sorted(p.name for p in (tmp_path / "raw").iterdir()) == files
+    for name in files:
+        digest = hashlib.sha256((tmp_path / "raw" / name).read_bytes()).hexdigest()
+        assert digest == OMEGA_WARNING_FILES[name]
+    # The truncated estimates need no warning.
+    assert run_cli(command, *args, "--set", "enforce_omega=true",
+                   "--out", str(tmp_path / "truncated")) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_stiff_drift_estimate_without_omega(tmp_path):

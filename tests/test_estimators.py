@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from fpdrift import (
     BmEstimatorCache,
     DegenerateStatisticsError,
+    DivergenceError,
     FbmEstimatorCache,
     Grid,
     HurstParams,
     PathBundle,
+    SufficientStats,
     check_omega,
     dmax_from_lower_bound,
     dmax_ou,
@@ -335,6 +337,15 @@ def test_normal_quantile_accuracy():
         normal_quantile(1.0)
 
 
+def test_normal_quantile_memoized():
+    p = 1.0 - 0.05 / 4.0
+    want = normal_quantile.__wrapped__(p)
+    normal_quantile(p)
+    hits = normal_quantile.cache_info().hits
+    assert normal_quantile(p) == want  # bitwise the computed value
+    assert normal_quantile.cache_info().hits == hits + 1
+
+
 @given(p=st.floats(1e-12, 1 - 1e-12))
 @settings(max_examples=200)
 def test_normal_quantile_inverts_cdf(p):
@@ -392,3 +403,137 @@ def test_prefix_estimates_match_direct(seed):
     assert via_cache.theta_tilde == pytest.approx(direct.theta_tilde, rel=1e-12)
     assert via_cache.d_n == pytest.approx(direct.d_n, rel=1e-12)
     assert via_cache.aci[0] == pytest.approx(direct.aci[0], rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The Taylor table of Phi_N on proper prefixes.
+# ---------------------------------------------------------------------------
+
+# (model, horizon, sigma, x0): the two presets, and a drift whose b' = 1 - 3x^2
+# changes sign along the paths, so the sum over node pairs cancels.
+TABLE_MODELS = {
+    "model1": ("model1", 0.1, 0.25, 5.0),
+    "model2": ("model2", 0.75, 1.0, 5.0),
+    "sign-changing": ("custom:-1,0,1,0", 0.5, 1.0, 0.3),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(sorted(TABLE_MODELS)), seed=st.integers(0, 10**6),
+       n=st.integers(2, 12), h=st.floats(0.6, 0.95),
+       rs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+def test_taylor_table_matches_exact_sum(model, seed, n, h, rs):
+    name, horizon, sigma, x0 = TABLE_MODELS[model]
+    bundle = solution_bundle(model=name, h=h, horizon=horizon, sigma=sigma, x0=x0,
+                             n=n, seed=seed)
+    cache = FbmEstimatorCache(bundle, drift_model(name), HurstParams(h=h), sigma)
+    for m in range(1, n):
+        stats = cache.stats(m)
+        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
+        points = [0.0, *rs]
+        try:  # the fixed point, where the Picard iterates end up
+            points.append(fixed_point(exact, 60, 1e-14)[0])
+        except DivergenceError:
+            pass  # the sign-changing drift need not give a contraction
+        for r in points:
+            assert phi(r) == pytest.approx(exact(r), rel=1e-12, abs=0.0)
+    assert cache._taylor is not None
+
+
+def test_taylor_table_serves_proper_prefixes():
+    # The Picard solves of every proper prefix, as `experiment` runs them:
+    # the table serves most evaluations, within rel 1e-12 of the exact sum.
+    bundle = solution_bundle(model="model2", h=0.7, n=40, seed=4)
+    cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.7), 1.0)
+    served = evaluated = 0
+    for m in range(1, 40):
+        stats = cache.stats(m)
+        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
+        r, iterations, _ = fixed_point(phi, 30, 1e-12)
+        r_exact, iterations_exact, _ = fixed_point(exact, 30, 1e-12)
+        assert iterations == iterations_exact
+        assert r == pytest.approx(r_exact, rel=1e-12, abs=0.0)
+        for r_k in (0.0, r):
+            evaluated += 1
+            served += phi(r_k) != exact(r_k)
+            assert phi(r_k) == pytest.approx(exact(r_k), rel=1e-12, abs=0.0)
+    assert served > evaluated // 2
+
+
+def test_taylor_table_falls_back_near_a_root():
+    # With b' changing sign, Phi_N of these prefixes crosses zero near the
+    # centre s0. There the error bound, relative to |Phi_N|, fails and the
+    # exact sum is served; rel 1e-12 holds right up to the root.
+    bundle = solution_bundle(model="custom:-1,0,1,0", h=0.8, horizon=0.5, sigma=1.0,
+                             x0=0.5, n=8, seed=1)
+    cache = FbmEstimatorCache(bundle, drift_model("custom:-1,0,1,0"), HurstParams(h=0.8), 1.0)
+    for m in (3, 5, 7):
+        stats = cache.stats(m)
+        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
+        grid = np.linspace(-0.6, 0.3, 10)
+        signs = np.sign([exact(r) for r in grid])
+        k = int(np.flatnonzero(signs[:-1] != signs[1:])[0])
+        lo, hi = grid[k], grid[k + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(exact(mid)) == signs[k] else (lo, mid)
+        for r in (lo - 1e-4, lo - 1e-8, lo, hi, hi + 1e-8, hi + 1e-4):
+            assert phi(r) == pytest.approx(exact(r), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model", ["model1", "model2"])
+def test_taylor_table_falls_back_far_from_centre(model):
+    h, sigma = 0.8, 0.5
+    bundle = solution_bundle(model=model, h=h, sigma=sigma, horizon=0.5, steps=12, n=3,
+                             seed=7)
+    t, T = bundle.grid.nodes, bundle.grid.horizon
+    drift = drift_model(model)
+    cache = FbmEstimatorCache(bundle, drift, HurstParams(h=h), sigma)
+    stats = cache.stats(2)
+    phi, exact = cache.phi(2, stats), cache._phi_exact(2, stats)
+    assert cache._taylor is not None
+    # |s - s0| span(C) is far past where ten Taylor terms reach 1e-13.
+    for r in (-40.0, 25.0, 2000.0):
+        assert phi(r) == exact(r)
+        want = oracle_phi(r, bundle.values[:2], t, T, drift.b_prime, h, sigma,
+                          stats.d_n, stats.i_n)
+        assert phi(r) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_full_bundle_never_builds_the_table():
+    bundle = solution_bundle(model="model2", h=0.7, n=6, seed=2)
+    cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.7), 1.0)
+    est = cache.estimate(max_iters=30, tol=1e-12)
+    assert "_taylor" not in vars(cache)
+    stats = cache.stats()
+    r, iterations, residual = fixed_point(cache._phi_exact(6, stats), 30, 1e-12)
+    assert (est.r_n, est.iterations, est.residual) == (r, iterations, residual)
+    # A prefix builds the table; the full bundle still takes the exact sum.
+    cache.estimate(3, max_iters=30, tol=1e-12)
+    assert cache._taylor is not None
+    again = cache.estimate(max_iters=30, tol=1e-12)
+    assert (again.r_n, again.iterations, again.residual) == (r, iterations, residual)
+
+
+def test_taylor_table_skipped_without_finite_centre():
+    grid = Grid(horizon=1.0, steps=2)
+    # b(x) = x vanishes along zero paths: D_N = 0, so there is no centre s0.
+    zeros = PathBundle(grid=grid, values=np.zeros((2, 3)), kind="solution")
+    cache = FbmEstimatorCache(zeros, drift_model("custom:1,0"), HurstParams(h=0.8), 1.0)
+    stats = SufficientStats(d_n=1.0, i_n=0.5, m_n=1.0)
+    phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
+    assert cache._taylor is None
+    for r in (0.0, 0.3):
+        assert phi(r) == exact(r)
+
+    # b(x) = -x: D_N = 1/2, I_N = -1599 and span(C) = 1, so the factors
+    # e^{+-s0 C} reach e^{799.5}, past the float range.
+    values = np.array([[1.0, 0.0, 40.0], [1.0, 0.0, 40.0]])
+    bundle = PathBundle(grid=grid, values=values, kind="solution")
+    cache = FbmEstimatorCache(bundle, drift_model("custom:-1,0"), HurstParams(h=0.8), 1.0)
+    stats = cache.stats(1)
+    assert stats.i_n == pytest.approx(-1599.0)
+    phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
+    assert cache._taylor is None
+    for r in (1599.0, 1599.5, 1600.0):
+        assert phi(r) == exact(r)
