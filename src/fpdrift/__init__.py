@@ -42,8 +42,6 @@ from .estimators import (
     check_omega,
     dmax_from_lower_bound,
     dmax_ou,
-    estimate_bm,
-    estimate_fbm,
     fixed_point,
     iteration_schedule,
     max_horizon,
@@ -92,8 +90,6 @@ __all__ = [
     "check_omega",
     "dmax_from_lower_bound",
     "dmax_ou",
-    "estimate_bm",
-    "estimate_fbm",
     "fixed_point",
     "iteration_schedule",
     "max_horizon",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Iterable, Optional, Sequence
@@ -18,11 +19,12 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, DegenerateStatisticsError, DivergenceError, FpdriftError
-from .estimators import FbmEstimatorCache, BmEstimatorCache
 from .fbm import PathBundle, Grid
 from .montecarlo import (
     coverage_experiment,
     default_workers,
+    estimate,
+    estimator_cache,
     run_experiment,
     simulate_bundle,
     threshold_sweep,
@@ -64,7 +66,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid spec {spec!r}: {exc}") from exc
     if count < 1:
         raise ConfigError("grid count must be >= 1")
-    return [start + step * k for k in range(count)]
+    grid = [start + step * k for k in range(count)]
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"grid spec {spec!r}: every threshold must be finite")
+    return grid
 
 
 def _bundle_csv_lines(bundle: PathBundle) -> list[str]:
@@ -116,11 +121,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _estimate_record(cfg: RunConfig, bundle: PathBundle) -> dict:
     e = cfg.experiment
+    est = estimate(e, estimator_cache(e, bundle))
     if e.mode == "fbm":
-        cache = FbmEstimatorCache(bundle, e.drift(), e.hurst_params(), e.sigma)
-        est = cache.estimate(c=e.contraction, d_threshold=e.d_threshold,
-                             alpha=e.alpha, enforce_omega=e.enforce_omega,
-                             max_iters=e.max_iters, tol=e.tol)
         return {
             "theta_tilde": est.theta_tilde,
             "R_N": est.r_n,
@@ -132,8 +134,6 @@ def _estimate_record(cfg: RunConfig, bundle: PathBundle) -> dict:
             "aci_lower": est.aci[0],
             "aci_upper": est.aci[1],
         }
-    cache = BmEstimatorCache(bundle, e.drift(), sigma=e.sigma)
-    est = cache.estimate(d_threshold=e.d_threshold, alpha=e.alpha)
     return {
         "theta_hat": est.theta_hat,
         "theta_hat_d": est.theta_hat_d,

@@ -3,8 +3,9 @@ iteration, contraction certificate, truncations, thresholds and confidence
 intervals.
 
 `FbmEstimatorCache` (H > 1/2) and `BmEstimatorCache` (H = 1/2) are the one
-implementation of D_N, I_N, Phi_N, Ybar_N and the interval half-width; the
-one-shot `estimate_fbm`/`estimate_bm` build a cache and evaluate it once.
+implementation of D_N, I_N, Phi_N, Ybar_N and the interval half-width:
+`FbmEstimatorCache(paths, drift, hurst, sigma=1.0).estimate(n)` estimates from
+the first n paths of a solution bundle (default: all of them).
 
 All integrals are replaced by left-point Riemann sums on the bundle's grid.
 The singular kernel |t - s|^(2H-2) is only evaluated at distinct nodes since
@@ -556,38 +557,3 @@ class BmEstimatorCache:
         return EstimateBM(d_nn=d_nn, v_nn=v_nn, theta_hat=theta_hat,
                           theta_hat_d=theta_hat_d, ybar=ybar,
                           aci=(theta_hat - half, theta_hat + half, alpha))
-
-
-# ---------------------------------------------------------------------------
-# One-shot entry points.
-# ---------------------------------------------------------------------------
-
-def estimate_fbm(
-    paths: PathBundle,
-    drift: DriftModel,
-    hurst: HurstParams,
-    sigma: float,
-    c: float = DEFAULT_CONTRACTION,
-    d_threshold: float = 0.0,
-    alpha: float = 0.05,
-    enforce_omega: bool = False,
-    max_iters: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
-) -> EstimateFBM:
-    """Fixed-point estimate from a solution bundle (H > 1/2)."""
-    cache = FbmEstimatorCache(paths, drift, hurst, sigma)
-    return cache.estimate(c=c, d_threshold=d_threshold, alpha=alpha,
-                          enforce_omega=enforce_omega, max_iters=max_iters, tol=tol)
-
-
-def estimate_bm(
-    paths: PathBundle,
-    drift: DriftModel,
-    vol: Optional[VolModel] = None,
-    sigma: Optional[float] = None,
-    d_threshold: float = 0.0,
-    alpha: float = 0.05,
-) -> EstimateBM:
-    """Discrete-time least-squares estimate from a solution bundle (H = 1/2)."""
-    cache = BmEstimatorCache(paths, drift, vol=vol, sigma=sigma)
-    return cache.estimate(d_threshold=d_threshold, alpha=alpha)

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateStatisticsError, DivergenceError
 from .fbm import Grid, HurstParams, PathBundle, block_correlation, sample_fbm_bundle
 from .sde import DriftModel, SdeSpec, drift_model, euler_additive
-from .estimators import BmEstimatorCache, FbmEstimatorCache, DEFAULT_TOL
+from .estimators import (DEFAULT_TOL, BmEstimatorCache, EstimateBM, EstimateFBM,
+                         FbmEstimatorCache)
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,10 @@ class ExperimentConfig:
             raise ConfigError(f"contraction: must lie in (0, 1), got {self.contraction}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha: must lie in (0, 1), got {self.alpha}")
+        if 1.0 - self.alpha / 4.0 == 1.0:  # the interval's normal quantile level
+            raise ConfigError(f"alpha: {self.alpha} is too small; 1 - alpha/4 rounds to 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError(f"max_iters: must be >= 1 or null, got {self.max_iters}")
         if not self.tol >= 0.0:
@@ -121,7 +126,6 @@ class TrialResult:
     trial_index: int
     ns: np.ndarray
     estimates: np.ndarray       # reported estimate (theta_tilde or theta_hat)
-    truncated: np.ndarray       # Omega- and threshold-gated value
     aci_lower: np.ndarray
     aci_upper: np.ndarray
     omega: np.ndarray           # bool; always True in bm mode
@@ -177,72 +181,56 @@ def simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int) 
     return euler_additive(spec, noise)
 
 
+def estimator_cache(config: ExperimentConfig,
+                    bundle: PathBundle) -> FbmEstimatorCache | BmEstimatorCache:
+    """The estimator cache of a solution bundle for the config's mode."""
+    if config.mode == "fbm":
+        return FbmEstimatorCache(bundle, config.drift(), config.hurst_params(), config.sigma)
+    return BmEstimatorCache(bundle, config.drift(), sigma=config.sigma)
+
+
+def estimate(config: ExperimentConfig, cache: FbmEstimatorCache | BmEstimatorCache,
+             n: Optional[int] = None) -> EstimateFBM | EstimateBM:
+    """The estimate on the first n paths of the cache (default: all of them),
+    with the config's contraction, threshold, level and iteration settings."""
+    if config.mode == "fbm":
+        return cache.estimate(n, c=config.contraction, d_threshold=config.d_threshold,
+                              alpha=config.alpha, enforce_omega=config.enforce_omega,
+                              max_iters=config.max_iters, tol=config.tol)
+    return cache.estimate(n, d_threshold=config.d_threshold, alpha=config.alpha)
+
+
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """One deterministic trial: simulate once, estimate on each prefix size."""
     rng = trial_rng(config, trial_index)
     points = config.points
-    k = len(points)
-    nan = float("nan")
-    est = np.full(k, nan)
-    trunc = np.full(k, nan)
-    lo = np.full(k, nan)
-    hi = np.full(k, nan)
-    omega = np.zeros(k, dtype=bool)
-    d_stats = np.full(k, nan)
-    r_n = np.full(k, nan)
-    resid = np.full(k, nan)
-
-    drift = config.drift()
-    hurst = config.hurst_params()
-
-    def _eval_fbm(cache: FbmEstimatorCache, n: int, idx: int) -> None:
-        try:
-            e = cache.estimate(
-                n, c=config.contraction, d_threshold=config.d_threshold,
-                alpha=config.alpha, enforce_omega=config.enforce_omega,
-                max_iters=config.max_iters, tol=config.tol,
-            )
-        except (DegenerateStatisticsError, DivergenceError):
-            return
-        est[idx] = e.theta_tilde
-        trunc[idx] = e.theta_tilde_cd
-        lo[idx], hi[idx] = e.aci[0], e.aci[1]
-        omega[idx] = e.omega_holds
-        d_stats[idx] = e.d_n
-        r_n[idx] = e.r_n
-        resid[idx] = e.residual
-
-    def _eval_bm(cache: BmEstimatorCache, n: int, idx: int) -> None:
-        try:
-            e = cache.estimate(n, d_threshold=config.d_threshold, alpha=config.alpha)
-        except DegenerateStatisticsError:
-            return
-        est[idx] = e.theta_hat
-        trunc[idx] = e.theta_hat_d
-        if e.aci is not None:
-            lo[idx], hi[idx] = e.aci[0], e.aci[1]
-        omega[idx] = True
-        d_stats[idx] = e.d_nn
-
-    if config.mode == "fbm":
-        make_cache = partial(FbmEstimatorCache, drift=drift, hurst=hurst, sigma=config.sigma)
-        evaluate = _eval_fbm
-    else:
-        make_cache = partial(BmEstimatorCache, drift=drift, sigma=config.sigma)
-        evaluate = _eval_bm
-
-    shared = None  # with prefix reuse, one bundle of n_max copies serves every N
+    # Rows: estimate, interval bounds, D, R_N and residual; NaN where an evaluation failed.
+    rows = np.full((6, len(points)), np.nan)
+    omega = np.zeros(len(points), dtype=bool)
+    shared = None  # with prefix reuse, one simulated bundle serves every N
     if not config.fresh_paths_per_n:
-        shared = make_cache(simulate_bundle(config, rng, config.n_max))
+        # All n_max paths are drawn, so the rng stream does not depend on the
+        # eval points; the cache needs only the largest prefix.
+        bundle = simulate_bundle(config, rng, config.n_max)
+        shared = estimator_cache(config, replace(bundle, values=bundle.values[:points[-1]]))
     for idx, n in enumerate(points):
-        cache = shared if shared is not None else make_cache(simulate_bundle(config, rng, n))
-        evaluate(cache, n, idx)
-
-    return TrialResult(
-        trial_index=trial_index, ns=np.asarray(points, dtype=int),
-        estimates=est, truncated=trunc, aci_lower=lo, aci_upper=hi,
-        omega=omega, d_stats=d_stats, r_n=r_n, residuals=resid,
-    )
+        cache = shared if shared is not None else estimator_cache(
+            config, simulate_bundle(config, rng, n))
+        try:
+            e = estimate(config, cache, n)
+        except (DegenerateStatisticsError, DivergenceError):
+            continue
+        if config.mode == "fbm":
+            rows[:, idx] = e.theta_tilde, e.aci[0], e.aci[1], e.d_n, e.r_n, e.residual
+            omega[idx] = e.omega_holds
+        else:
+            aci = e.aci or (np.nan, np.nan)
+            rows[:4, idx] = e.theta_hat, aci[0], aci[1], e.d_nn
+            omega[idx] = True
+    est, lo, hi, d_stats, r_n, resid = rows
+    return TrialResult(trial_index=trial_index, ns=np.asarray(points, dtype=int),
+                       estimates=est, aci_lower=lo, aci_upper=hi, omega=omega,
+                       d_stats=d_stats, r_n=r_n, residuals=resid)
 
 
 def default_workers() -> int:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fpdrift import (
+    BmEstimatorCache,
     CrossCorrelation,
     ExperimentConfig,
     FbmEstimatorCache,
@@ -21,7 +22,6 @@ from fpdrift import (
     dmax_from_lower_bound,
     dmax_ou,
     drift_model,
-    estimate_bm,
     fbm_covariance,
     fixed_point,
     run_experiment,
@@ -160,7 +160,7 @@ def test_criterion_4_small_grid_oracles():
                     oracle_ybar(x, t, T, drift.b, drift.b_prime, h, sigma)))
             bm_bundle = solution_bundle(model="model2", h=0.5, sigma=1.0,
                                         horizon=0.5, steps=steps, n=n, seed=4)
-            est = estimate_bm(bm_bundle, drift_model("model2"), sigma=1.0)
+            est = BmEstimatorCache(bm_bundle, drift_model("model2"), sigma=1.0).estimate()
             want = oracle_bm(bm_bundle.values, bm_bundle.grid.nodes,
                              bm_bundle.grid.horizon, drift_model("model2").b)
             worst = max(worst, abs(est.theta_hat - want) / abs(want))

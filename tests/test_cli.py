@@ -98,6 +98,9 @@ def test_parse_grid():
         _parse_grid("a:b:c")
     with pytest.raises(ConfigError):
         _parse_grid("1:1:0")
+    for spec in ("1:nan:3", "inf:1:2", "1e308:1e308:3"):
+        with pytest.raises(ConfigError, match="finite"):
+            _parse_grid(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,7 @@ def test_estimate_missing_input_is_io_error(tmp_path):
     "corr_block=0", "corr_block=3", "corr_block=2 fresh_paths_per_n=true",
     "corr_rho=-1.5 corr_block=2", "corr_rho=1.5 corr_block=5",
     "T=inf", "sigma=nan", "theta0=nan", "x0=nan", "d_threshold=nan",
+    "seed=-1", "alpha=1e-20",
 ])
 def test_validation_error_exit_code(tmp_path, capsys, setting):
     sets = [arg for item in setting.split() for arg in ("--set", item)]
@@ -428,3 +432,12 @@ def test_bad_env_var_seed(tmp_path, monkeypatch):
                    "--set", "replications=1", "--set", "n_max=2",
                    "--out", str(tmp_path), "--workers", "1")
     assert code == 2
+
+
+def test_negative_env_var_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FPDRIFT_SEED", "-5")
+    code = run_cli("estimate", "--set", "model=model2", "--set", "H=0.9",
+                   "--set", "n_max=2", "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed") and err.count("\n") == 1

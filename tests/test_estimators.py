@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,6 @@ from fpdrift import (
     dmax_from_lower_bound,
     dmax_ou,
     drift_model,
-    estimate_bm,
-    estimate_fbm,
     fixed_point,
     iteration_schedule,
     max_horizon,
@@ -136,7 +136,7 @@ def test_small_grid_oracles(steps, n, model):
 def test_bm_estimator_oracle(steps, n):
     bundle = solution_bundle(model="model2", h=0.5, sigma=1.0, horizon=0.5,
                              steps=steps, n=n, seed=5)
-    est = estimate_bm(bundle, drift_model("model2"), sigma=1.0)
+    est = BmEstimatorCache(bundle, drift_model("model2"), sigma=1.0).estimate()
     want = oracle_bm(bundle.values, bundle.grid.nodes, bundle.grid.horizon,
                      drift_model("model2").b)
     assert est.theta_hat == pytest.approx(want, rel=1e-12)
@@ -190,12 +190,13 @@ def test_fixed_point_linear_map():
 
 
 # ---------------------------------------------------------------------------
-# Estimator wrappers and certificates.
+# Estimates and certificates.
 # ---------------------------------------------------------------------------
 
 def test_estimate_fbm_structure():
     bundle = solution_bundle(n=10, seed=3)
-    est = estimate_fbm(bundle, drift_model("model2"), HurstParams(h=0.9), 1.0)
+    cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.9), 1.0)
+    est = cache.estimate()
     assert est.theta_tilde == pytest.approx(est.i_n + est.r_n)
     assert est.theta_tilde_c in (0.0, est.theta_tilde)
     assert est.theta_tilde_cd in (0.0, est.theta_tilde_c)
@@ -205,13 +206,13 @@ def test_estimate_fbm_structure():
     assert alpha == 0.05
     assert est.ybar >= 0.0
     with pytest.raises(ValueError):
-        estimate_fbm(bundle, drift_model("model2"), HurstParams(h=0.9), 1.0, alpha=1.5)
+        cache.estimate(alpha=1.5)
 
 
 def test_estimate_fbm_threshold_gating():
     bundle = solution_bundle(n=10, seed=3)
-    est = estimate_fbm(bundle, drift_model("model2"), HurstParams(h=0.9), 1.0,
-                       d_threshold=1e6)
+    est = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.9),
+                            1.0).estimate(d_threshold=1e6)
     assert est.theta_tilde_cd == 0.0
     assert est.theta_tilde != 0.0
 
@@ -220,8 +221,9 @@ def test_constant_drift_gives_identity_estimate():
     # b constant: b' = 0, the map is identically 0, so the estimate is I_N.
     bundle = solution_bundle(model="custom:3", n=4, seed=11)
     drift = drift_model("custom:3")
-    est = estimate_fbm(bundle, drift, HurstParams(h=0.9), 1.0)
-    stats = FbmEstimatorCache(bundle, drift, HurstParams(h=0.9), 1.0).stats()
+    cache = FbmEstimatorCache(bundle, drift, HurstParams(h=0.9), 1.0)
+    est = cache.estimate()
+    stats = cache.stats()
     assert est.r_n == 0.0
     assert est.iterations == 1
     assert est.theta_tilde == pytest.approx(stats.i_n)
@@ -268,21 +270,32 @@ def test_degenerate_dn_raises():
     with pytest.raises(DegenerateStatisticsError):
         FbmEstimatorCache(bundle, drift, HurstParams(h=0.9), 1.0).stats()
     with pytest.raises(DegenerateStatisticsError):
-        estimate_bm(bundle, drift, sigma=1.0)
+        BmEstimatorCache(bundle, drift, sigma=1.0).estimate()
     est = BmEstimatorCache(bundle, drift, sigma=1.0).estimate(d_threshold=0.5)
     assert est.theta_hat_d == 0.0
 
 
 def test_estimate_bm_aci_and_truncation():
     bundle = solution_bundle(h=0.5, n=20, seed=9)
-    est = estimate_bm(bundle, drift_model("model2"), sigma=1.0)
+    cache = BmEstimatorCache(bundle, drift_model("model2"), sigma=1.0)
+    est = cache.estimate()
     lo, hi, alpha = est.aci
     assert lo < est.theta_hat < hi
     assert est.d_nn > 0 and est.ybar > 0
-    est2 = estimate_bm(bundle, drift_model("model2"), sigma=1.0, d_threshold=1e9)
+    est2 = cache.estimate(d_threshold=1e9)
     assert est2.theta_hat_d == 0.0
     with pytest.raises(ValueError):
-        estimate_bm(bundle, drift_model("model2"), sigma=1.0, alpha=1.5)
+        cache.estimate(alpha=1.5)
+
+
+def test_readme_quick_start_runs(capsys):
+    # The README's library example must run against the public API as it is.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    theta = capsys.readouterr().out.split()[0]
+    assert math.isfinite(float(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +411,7 @@ def test_prefix_estimates_match_direct(seed):
     hurst = HurstParams(h=0.9)
     cache = FbmEstimatorCache(bundle, drift, hurst, 1.0)
     sub = PathBundle(grid=bundle.grid, values=bundle.values[:4], kind="solution")
-    direct = estimate_fbm(sub, drift, hurst, 1.0, max_iters=60, tol=1e-14)
+    direct = FbmEstimatorCache(sub, drift, hurst, 1.0).estimate(max_iters=60, tol=1e-14)
     via_cache = cache.estimate(4, max_iters=60, tol=1e-14)
     assert via_cache.theta_tilde == pytest.approx(direct.theta_tilde, rel=1e-12)
     assert via_cache.d_n == pytest.approx(direct.d_n, rel=1e-12)

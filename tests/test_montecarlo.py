@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fpdrift import (
     ExperimentConfig,
+    FbmEstimatorCache,
     coverage_experiment,
     run_experiment,
     run_trial,
@@ -67,6 +69,23 @@ def test_constant_drift_trajectory_is_identity_statistic():
     t = run_trial(cfg, 0)
     assert np.isfinite(t.estimates).all()
     assert np.all(t.r_n == 0.0)
+
+
+def test_largest_eval_point_below_n_max_builds_no_taylor_table(monkeypatch):
+    # The shared cache holds only the largest evaluated prefix, so its one
+    # eval point is its full bundle, served by the exact sum.
+    cfg = model2_config(eval_points=(5,), n_max=10, replications=1)
+    paths = montecarlo.simulate_bundle(cfg, montecarlo.trial_rng(cfg, 0), 10)
+    want = FbmEstimatorCache(replace(paths, values=paths.values[:5]), cfg.drift(),
+                             cfg.hurst_params(), cfg.sigma).estimate()
+    monkeypatch.setattr(FbmEstimatorCache, "_taylor",
+                        property(lambda self: pytest.fail("the Taylor table was built")))
+    t = run_trial(cfg, 0)
+    assert t.ns.tolist() == [5]
+    assert t.estimates[0] == want.theta_tilde
+    assert (t.aci_lower[0], t.aci_upper[0]) == want.aci[:2]
+    assert (t.d_stats[0], t.r_n[0], t.residuals[0]) == (want.d_n, want.r_n, want.residual)
+    assert t.omega[0] == want.omega_holds
 
 
 # (11, 2) leaves a partial last chunk; (3, 5) has more workers than trials.
