@@ -194,9 +194,9 @@ def _warn_untruncated(cfg: RunConfig, report, n: int) -> None:
 def _trajectory_lines(trials) -> list[str]:
     lines = ["trial,N,estimate,aci_lower,aci_upper"]
     for t in trials:
-        for n, est, lo, hi in zip(t.ns, t.estimates, t.aci_lower, t.aci_upper):
-            lines.append(",".join([str(t.trial_index), str(int(n)),
-                                   _fmt(est), _fmt(lo), _fmt(hi)]))
+        i = t.trial_index
+        lines.extend(f"{i},{n},{est:.17g},{lo:.17g},{hi:.17g}" for n, est, lo, hi in zip(
+            t.ns.tolist(), t.estimates.tolist(), t.aci_lower.tolist(), t.aci_upper.tolist()))
     return lines
 
 

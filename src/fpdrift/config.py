@@ -124,8 +124,6 @@ def _validated(raw: dict[str, Any]) -> RunConfig:
     h = merged["H"]
     if not 0.0 < h < 1.0:
         raise ConfigError(f"H: must lie in (0, 1), got {h}")
-    if merged["sigma"] == 0.0:
-        raise ConfigError("sigma: must be nonzero")
     if merged["mode"] == "fbm" and h == 0.5:
         merged["mode"] = "bm"  # H = 1/2 only makes sense in bm mode
 

@@ -17,13 +17,14 @@ O(N*steps) `exp` calls plus one (N x steps) @ (steps x steps) matmul, and the
 cache holds O(N*steps + steps^2) numbers. The kernels depend only on (H, grid)
 and are built once per process.
 
-A proper prefix n < N (the Monte Carlo engine solves every N = 1..n_max on one
-bundle) is served instead from a Taylor table of Phi_N about s0 = I of the full
-bundle: K = 10 moments per path, prefix-summed, built once per cache at the
-cost of about K exact evaluations. A Picard step is then a degree-K Horner
-evaluation, O(K) whatever N and steps are. The table value is used only when a
-bound on its Taylor remainder and rounding is below 1e-13 of it; otherwise, and
-always on the full bundle, the exact sum is evaluated.
+`cache.estimates(points)` solves all prefixes N in points (the Monte Carlo
+engine: N = 1..n_max) in one vectorized Picard iteration. A proper prefix n < N
+is served from a Taylor table of Phi_N about s0 = I of the full bundle: K = 10
+moments per path, prefix-summed, built once per cache at the cost of about K
+exact evaluations. A Picard step is then a degree-K Horner evaluation, O(K)
+whatever N and steps are. The table value is used only when a bound on its
+Taylor remainder and rounding is below 1e-13 of it; otherwise, and always on
+the full bundle, the exact sum of that prefix alone is evaluated.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -130,6 +131,37 @@ class EstimateBM:
     aci: Optional[tuple[float, float, float]] = None
 
 
+# Rows of `FbmEstimatorCache.estimates`: the EstimateFBM fields in order, aci split.
+# Where D_N <= 0 (iterations 0) or an iterate diverged: NaN floats, omega False.
+FBM_ROW = np.dtype([("estimate", float), ("r_n", float), ("iterations", np.int64),
+                    ("residual", float), ("omega", bool), ("theta_c", float),
+                    ("theta_cd", float), ("d_n", float), ("i_n", float),
+                    ("aci_lower", float), ("aci_upper", float), ("ybar", float)])
+# Rows of `BmEstimatorCache.estimates`, likewise; omega False where `estimate` raises.
+BM_ROW = np.dtype([("d_n", float), ("v_n", float), ("estimate", float), ("estimate_d", float),
+                   ("ybar", float), ("aci_lower", float), ("aci_upper", float), ("omega", bool)])
+
+
+def _prefix_sums(per_path: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Row k of per_path summed over the first n paths, for each n in ns: bitwise
+    per_path[k, :n].sum() (numpy's pairwise sum), which a cumsum is not."""
+    return np.array([np.add.reduce(per_path[:, :n], axis=1) for n in ns.tolist()]).T
+
+
+def _rows(dtype: np.dtype, defined: np.ndarray, **fields) -> np.ndarray:
+    """Structured rows of the given fields, floats NaN where not defined. A finite
+    estimate must have a finite interval."""
+    width = fields["aci_upper"] - fields["aci_lower"]
+    if not np.isfinite(width[defined & np.isfinite(fields["estimate"])]).all():
+        raise DivergenceError("the confidence interval leaves the float range: "
+                              "sigma^2 Ybar_N / D_N^2 overflows on this bundle")
+    rows = np.empty(defined.shape, dtype=dtype)
+    for name, value in fields.items():
+        rows[name] = value
+    rows[[name for name in fields if dtype[name] == float]][~defined] = np.nan
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point map.
 # ---------------------------------------------------------------------------
@@ -194,12 +226,13 @@ def check_omega(
     t_total: float,
     c: float,
 ) -> bool:
-    """Contraction certificate: T^2H M_N / D_N <= c / (alpha_bar sigma^2 |b'|_inf^2)."""
+    """Contraction certificate: T^2H M_N / D_N <= c / (alpha_bar sigma^2 |b'|_inf^2),
+    elementwise where the fields of stats are arrays over prefixes."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
     if sup_norm_b_prime == 0.0:
         return True  # the map is identically zero, trivially a contraction
-    if stats.d_n <= 0.0:
+    if np.any(stats.d_n <= 0.0):
         raise DegenerateStatisticsError("D_N vanished; the contraction event is undefined")
     lhs = t_total ** (2.0 * hurst.h) * stats.m_n / stats.d_n
     rhs = c / (hurst.alpha_bar * sigma**2 * sup_norm_b_prime**2)
@@ -231,6 +264,7 @@ def fixed_point(
     return r, iterations, residual
 
 
+@functools.lru_cache(maxsize=4096)
 def iteration_schedule(
     n: int,
     c: float,
@@ -238,7 +272,8 @@ def iteration_schedule(
     sup_norm_b_prime: float,
     hurst: HurstParams,
 ) -> int:
-    """Iteration count guaranteeing the iterate error is o(N^-1/2), floored at 30."""
+    """Iteration count guaranteeing the iterate error is o(N^-1/2), floored at 30.
+    Memoized: every trial of a run asks for the same count per prefix."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
     if sup_norm_b_prime == 0.0:
@@ -344,8 +379,9 @@ class FbmEstimatorCache:
         self.t_total = paths.grid.horizon
         x = paths.values
         dt = paths.grid.mesh
-        self._d_i = (drift.b(x[:, :-1]) ** 2).sum(axis=1) * dt
-        self._ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
+        d_i = (drift.b(x[:, :-1]) ** 2).sum(axis=1) * dt
+        ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
+        self._per_path = np.stack([d_i, ib_i, _ybar_contributions(paths, drift, hurst, sigma)])
         bp = drift.b_prime(x)
         # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
         # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
@@ -357,19 +393,28 @@ class FbmEstimatorCache:
         self._c_reach = np.maximum.accumulate(self._c_span)  # widest span of each prefix
         self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
         self._tri = _kernels(hurst, paths.grid)[1]
-        self._y_i = _ybar_contributions(paths, drift, hurst, sigma)
+
+    def _prefix_stats(self, ns: np.ndarray) -> tuple[SufficientStats, np.ndarray]:
+        """D_N, I_N and M_N as arrays over the prefix sizes ns, plus Ybar_N
+        as a fourth array; I_N and M_N mean nothing where D_N <= 0."""
+        d_sum, ib_sum, y_sum = _prefix_sums(self._per_path, ns)
+        nt = ns * self.t_total
+        # D_N = 0 divides by zero, and M_N overflows to inf where Omega_N cannot hold.
+        with np.errstate(all="ignore"):
+            d_n = d_sum / nt
+            i_n = ib_sum / (nt * d_n)
+            m_n = np.exp(self.drift.sup_norm_b_prime * np.abs(i_n) * self.t_total)
+            ybar = self.sigma**2 / (ns * self.t_total**2) * y_sum
+        return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n), ybar
 
     def stats(self, n: Optional[int] = None) -> SufficientStats:
-        n = self.paths.n_paths if n is None else n
-        d_n = float(self._d_i[:n].sum() / (n * self.t_total))
-        if d_n <= 0.0:
+        stats, _ = self._prefix_stats(np.array([self.paths.n_paths if n is None else n]))
+        if stats.d_n[0] <= 0.0:
             raise DegenerateStatisticsError("D_N vanished on this prefix")
-        i_n = float(self._ib_i[:n].sum() / (n * self.t_total * d_n))
-        try:
-            m_n = math.exp(self.drift.sup_norm_b_prime * abs(i_n) * self.t_total)
-        except OverflowError:
-            m_n = math.inf  # Omega_N cannot hold; the estimate itself is still defined
-        return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n)
+        return SufficientStats(*(float(a[0]) for a in (stats.d_n, stats.i_n, stats.m_n)))
+
+    def ybar(self, n: int) -> float:
+        return float(self._prefix_stats(np.array([n]))[1][0])
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N.
@@ -378,30 +423,43 @@ class FbmEstimatorCache:
         whenever its certified error bound allows, and from `_phi_exact`
         otherwise; the full bundle always takes `_phi_exact`.
         """
-        exact = self._phi_exact(n, stats)
-        table = self._taylor if n < self.paths.n_paths else None
-        if table is None:
-            return exact
-        s0, moments, weights = table
-        scale = self._scale(n, stats)
-        i_n = stats.i_n
-        coeffs = moments[n - 1, ::-1].tolist()
-        weight, reach = float(weights[n - 1]), float(self._c_reach[n - 1])
+        phi = self._phi_prefixes(np.array([n]), SufficientStats(
+            *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
+        return lambda r: float(phi(np.zeros(1, dtype=np.int64), np.array([r]))[0])
 
-        def _phi(r: float) -> float:
-            x = (r + i_n) - s0
-            y = abs(x) * reach
-            if y <= _TAYLOR_Y_MAX:
-                v = 0.0
-                for coef in coeffs:
-                    v = v * x + coef
+    def _phi_prefixes(self, ns: np.ndarray,
+                      stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Phi_N of prefix ns[k] at r, for index and iterate arrays (k, r): the
+        Taylor table where its error bound holds, else the exact sum of that
+        prefix alone."""
+        scale = self._scale(ns, stats.d_n)
+        table = self._taylor if (ns < self.paths.n_paths).any() else None
+
+        def phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+            values = np.full(len(k), np.nan)
+            if table is not None:
+                s0, moments, weights = table
+                n = ns[k]
+                x = r + stats.i_n[k] - s0
+                y = np.abs(x) * self._c_reach[n - 1]
+                served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n < self.paths.n_paths))
+                x, y, rows = x[served], y[served], n[served] - 1
+                coeffs = moments[rows]
+                v = np.zeros(len(served))
+                for j in range(_TAYLOR_ORDER - 1, -1, -1):
+                    v = v * x + coeffs[:, j]
                 # Taylor remainder plus the rounding of the binomial moments.
-                if weight * math.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
-                                           + _TAYLOR_ORDER * _EPS) <= _TAYLOR_RTOL * abs(v):
-                    return scale * v
-            return exact(r)
+                bound = weights[rows] * np.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
+                                                     + _TAYLOR_ORDER * _EPS)
+                values[served] = np.where(bound <= _TAYLOR_RTOL * np.abs(v),
+                                          scale[k[served]] * v, np.nan)
+            for j in np.flatnonzero(np.isnan(values)).tolist():
+                e = k[j]
+                prefix = SufficientStats(*(float(a[e]) for a in (stats.d_n, stats.i_n, stats.m_n)))
+                values[j] = self._phi_exact(int(ns[e]), prefix)(float(r[j]))
+            return values
 
-        return _phi
+        return phi
 
     def _phi_exact(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         """Phi_N as the factorized sum over the first n paths.
@@ -411,7 +469,7 @@ class FbmEstimatorCache:
         """
         bp, c, span, tri = self._bp[:n], self._c[:n], self._c_span[:n], self._tri
         span_max = float(self._c_reach[n - 1])
-        scale = self._scale(n, stats)
+        scale = self._scale(n, stats.d_n)
         i_n = stats.i_n
 
         def _phi(r: float) -> float:
@@ -426,8 +484,9 @@ class FbmEstimatorCache:
 
         return _phi
 
-    def _scale(self, n: int, stats: SufficientStats) -> float:
-        return -self.hurst.alpha * self.sigma**2 / (n * self.t_total * stats.d_n)
+    def _scale(self, n, d_n):
+        """-alpha sigma^2 / (N T D_N), for scalars or arrays over prefixes."""
+        return -self.hurst.alpha * self.sigma**2 / (n * self.t_total * d_n)
 
     @functools.cached_property
     def _taylor(self) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
@@ -469,55 +528,69 @@ class FbmEstimatorCache:
             return None
         return s0, moments, weights
 
-    def ybar(self, n: int) -> float:
-        return float(self.sigma**2 / (n * self.t_total**2) * self._y_i[:n].sum())
-
-    def estimate(
-        self,
-        n: Optional[int] = None,
-        *,
-        c: float = DEFAULT_CONTRACTION,
-        d_threshold: float = 0.0,
-        alpha: float = 0.05,
-        enforce_omega: bool = False,
-        max_iters: Optional[int] = None,
-        tol: float = DEFAULT_TOL,
-    ) -> EstimateFBM:
-        """Fixed-point estimate on the first n paths, with its confidence
-        interval of half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N)."""
+    def estimates(self, points: Optional[Sequence[int]] = None, *,
+                  c: float = DEFAULT_CONTRACTION, d_threshold: float = 0.0, alpha: float = 0.05,
+                  enforce_omega: bool = False, max_iters: Optional[int] = None,
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
+        """One `FBM_ROW` per n in points (default: all paths): the fixed-point
+        estimate on the first n paths, with its confidence interval of
+        half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N). Picard runs from 0 on
+        all prefixes at once; each stops after a step of at most tol, or after
+        max_iters steps (default: the `iteration_schedule` of its N)."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        n = self.paths.n_paths if n is None else n
-        stats = self.stats(n)
+        if (max_iters is not None and max_iters < 1) or tol < 0.0:
+            raise ValueError(f"need max_iters >= 1 and tol >= 0, got {max_iters} and {tol}")
+        ns = np.array([self.paths.n_paths] if points is None else points, dtype=np.int64)
+        stats, ybar = self._prefix_stats(ns)
+        ok = ~(stats.d_n <= 0.0)
+        live = np.flatnonzero(ok)
+        sup = self.drift.sup_norm_b_prime
+        omega = np.zeros(len(ns), dtype=bool)
         # With b' unbounded, the probe-interval sup|b'| is no bound on the
         # paths, so it may set the iteration count but never certify Omega_N.
-        omega = self.drift.b_prime_bounded and check_omega(
-            stats, self.hurst, self.sigma, self.drift.sup_norm_b_prime, self.t_total, c)
-        if max_iters is None:
-            max_iters = iteration_schedule(n, c, self.t_total,
-                                           self.drift.sup_norm_b_prime, self.hurst)
-        r_n, iters, residual = fixed_point(self.phi(n, stats), max_iters, tol)
-        theta = stats.i_n + r_n
-        theta_c = theta if omega else 0.0
-        theta_cd = theta_c if stats.d_n >= d_threshold else 0.0
-        theta_reported = theta if not enforce_omega else theta_c
-        ybar = self.ybar(n)
-        half = 2.0 * math.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
-            math.sqrt(n) * stats.d_n
-        )
-        return EstimateFBM(
-            theta_tilde=theta_reported,
-            r_n=r_n,
-            iterations=iters,
-            residual=residual,
-            omega_holds=omega,
-            theta_tilde_c=theta_c,
-            theta_tilde_cd=theta_cd,
-            d_n=stats.d_n,
-            i_n=stats.i_n,
-            aci=(theta_reported - half, theta_reported + half, alpha),
-            ybar=ybar,
-        )
+        if self.drift.b_prime_bounded:
+            live_stats = SufficientStats(stats.d_n[live], stats.i_n[live], stats.m_n[live])
+            omega[live] = check_omega(live_stats, self.hurst, self.sigma, sup, self.t_total, c)
+        limits = np.array([max_iters or iteration_schedule(n, c, self.t_total, sup, self.hurst)
+                           for n in ns.tolist()])
+        r, iterations = np.zeros(len(ns)), np.zeros(len(ns), dtype=np.int64)
+        residual = np.full(len(ns), np.nan)
+        k, r_k, limits_k, steps = live, r[live], limits[live], 0
+        with np.errstate(all="ignore"):
+            half = 2.0 * np.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
+                np.sqrt(ns) * stats.d_n)
+            phi = self._phi_prefixes(ns, stats)
+            while k.size:
+                steps += 1
+                r_next = phi(k, r_k)
+                r[k], iterations[k] = r_next, steps
+                going = np.isfinite(r_next) & (np.abs(r_next - r_k) > tol) & (steps < limits_k)
+                k, r_k, limits_k = k[going], r_next[going], limits_k[going]
+            ok &= np.isfinite(r)
+            live = np.flatnonzero(ok)
+            residual[live] = np.abs(phi(live, r[live]) - r[live])
+            theta = stats.i_n + r
+            theta_c = np.where(omega, theta, 0.0)
+            reported = theta_c if enforce_omega else theta
+            return _rows(FBM_ROW, ok, estimate=reported, aci_lower=reported - half,
+                         aci_upper=reported + half, d_n=stats.d_n, i_n=stats.i_n, r_n=r,
+                         residual=residual, omega=omega & ok, iterations=iterations,
+                         theta_c=theta_c, ybar=ybar,
+                         theta_cd=np.where(stats.d_n >= d_threshold, theta_c, 0.0))
+
+    def estimate(self, n: Optional[int] = None, *, alpha: float = 0.05,
+                 **settings) -> EstimateFBM:
+        """The `estimates` row of the first n paths (default: all of them);
+        settings as for `estimates`. Raises where that row is NaN."""
+        *fields, lower, upper, ybar = self.estimates(
+            None if n is None else (n,), alpha=alpha, **settings)[0].tolist()
+        _, r_n, iterations = fields[:3]
+        if math.isnan(r_n):
+            if iterations == 0:
+                raise DegenerateStatisticsError("D_N vanished on this prefix")
+            raise DivergenceError(f"non-finite iterate after {iterations} steps")
+        return EstimateFBM(*fields, aci=(lower, upper, alpha), ybar=ybar)
 
 
 class BmEstimatorCache:
@@ -533,27 +606,37 @@ class BmEstimatorCache:
         self.n_paths = paths.n_paths
         b_nodes = drift.b(x[:, :-1])
         sig_nodes = vol.sigma_fn(x[:, :-1]) if vol is not None else np.full_like(b_nodes, sigma)
-        self._d_i = (b_nodes**2).sum(axis=1) * dt
-        self._v_i = (b_nodes * np.diff(x, axis=1)).sum(axis=1)
-        self._y_i = (b_nodes**2 * sig_nodes**2).sum(axis=1) * dt
+        # Per-path contributions to D, V and Ybar, summed over each prefix.
+        self._per_path = np.stack([(b_nodes**2).sum(axis=1) * dt,
+                                   (b_nodes * np.diff(x, axis=1)).sum(axis=1),
+                                   (b_nodes**2 * sig_nodes**2).sum(axis=1) * dt])
+
+    def estimates(self, points: Optional[Sequence[int]] = None, *, d_threshold: float = 0.0,
+                  alpha: float = 0.05) -> np.ndarray:
+        """One `BM_ROW` per n in points (default: all paths): the least-squares
+        estimate on the first n paths; NaN where D_{N,n} <= 0."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        ns = np.array([self.n_paths] if points is None else points, dtype=np.int64)
+        d_sum, v_sum, y_sum = _prefix_sums(self._per_path, ns)
+        nt = ns * self.t_total
+        with np.errstate(all="ignore"):
+            d_nn, v_nn = d_sum / nt, v_sum / nt
+            ybar = y_sum / (ns * self.t_total**2)
+            positive = ~(d_nn <= 0.0)
+            theta = np.where(positive, v_nn / d_nn, np.nan)
+            half = np.sqrt(ybar) * normal_quantile(1.0 - alpha / 2.0) / (np.sqrt(ns) * d_nn)
+            defined = positive | (d_threshold > 0.0)
+            return _rows(BM_ROW, defined, estimate=theta, aci_lower=theta - half,
+                         aci_upper=theta + half, d_n=d_nn, v_n=v_nn,
+                         estimate_d=np.where(d_nn >= d_threshold, theta, 0.0), ybar=ybar,
+                         omega=defined)
 
     def estimate(self, n: Optional[int] = None, *, d_threshold: float = 0.0,
                  alpha: float = 0.05) -> EstimateBM:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        n = self.n_paths if n is None else n
-        nt = n * self.t_total
-        d_nn = float(self._d_i[:n].sum() / nt)
-        v_nn = float(self._v_i[:n].sum() / nt)
-        ybar = float(self._y_i[:n].sum() / (n * self.t_total**2))
-        if d_nn <= 0.0:
-            if d_threshold <= 0.0:
-                raise DegenerateStatisticsError("D_{N,n} vanished; estimator undefined")
-            return EstimateBM(d_nn=d_nn, v_nn=v_nn, theta_hat=math.nan,
-                              theta_hat_d=0.0, ybar=ybar, aci=None)
-        theta_hat = v_nn / d_nn
-        theta_hat_d = theta_hat if d_nn >= d_threshold else 0.0
-        half = math.sqrt(ybar) * normal_quantile(1.0 - alpha / 2.0) / (math.sqrt(n) * d_nn)
-        return EstimateBM(d_nn=d_nn, v_nn=v_nn, theta_hat=theta_hat,
-                          theta_hat_d=theta_hat_d, ybar=ybar,
-                          aci=(theta_hat - half, theta_hat + half, alpha))
+        """The `estimates` row of the first n paths (default: all of them)."""
+        *fields, lower, upper, defined = self.estimates(
+            None if n is None else (n,), d_threshold=d_threshold, alpha=alpha)[0].tolist()
+        if not defined:
+            raise DegenerateStatisticsError("D_{N,n} vanished; estimator undefined")
+        return EstimateBM(*fields, aci=None if fields[0] <= 0.0 else (lower, upper, alpha))

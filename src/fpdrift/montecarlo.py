@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateStatisticsError, DivergenceError
+from .errors import ConfigError
 from .fbm import Grid, HurstParams, PathBundle, block_correlation, sample_fbm_bundle
 from .sde import DriftModel, SdeSpec, drift_model, euler_additive
 from .estimators import (DEFAULT_TOL, BmEstimatorCache, EstimateBM, EstimateFBM,
@@ -60,8 +60,11 @@ class ExperimentConfig:
             self.drift()
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
-        if not self.horizon > 0.0:
-            raise ConfigError(f"T (horizon): must be positive, got {self.horizon}")
+        # The statistics scale with sigma^2 and T^-2: both squares must be nonzero floats.
+        if not (self.horizon > 0.0 and self.horizon * self.horizon > 0.0):
+            raise ConfigError(f"T (horizon): must be positive with T^2 > 0, got {self.horizon}")
+        if not 0.0 < self.sigma * self.sigma < math.inf:
+            raise ConfigError(f"sigma: sigma^2 must be a nonzero finite float, got {self.sigma}")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
         if not 0.0 < self.contraction < 1.0:
@@ -189,48 +192,43 @@ def estimator_cache(config: ExperimentConfig,
     return BmEstimatorCache(bundle, config.drift(), sigma=config.sigma)
 
 
+def _settings(config: ExperimentConfig) -> dict:
+    """The config's estimate settings, as keywords of its mode's cache."""
+    if config.mode == "fbm":
+        return dict(c=config.contraction, d_threshold=config.d_threshold, alpha=config.alpha,
+                    enforce_omega=config.enforce_omega, max_iters=config.max_iters,
+                    tol=config.tol)
+    return dict(d_threshold=config.d_threshold, alpha=config.alpha)
+
+
 def estimate(config: ExperimentConfig, cache: FbmEstimatorCache | BmEstimatorCache,
              n: Optional[int] = None) -> EstimateFBM | EstimateBM:
     """The estimate on the first n paths of the cache (default: all of them),
-    with the config's contraction, threshold, level and iteration settings."""
-    if config.mode == "fbm":
-        return cache.estimate(n, c=config.contraction, d_threshold=config.d_threshold,
-                              alpha=config.alpha, enforce_omega=config.enforce_omega,
-                              max_iters=config.max_iters, tol=config.tol)
-    return cache.estimate(n, d_threshold=config.d_threshold, alpha=config.alpha)
+    with the config's settings."""
+    return cache.estimate(n, **_settings(config))
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """One deterministic trial: simulate once, estimate on each prefix size."""
     rng = trial_rng(config, trial_index)
     points = config.points
-    # Rows: estimate, interval bounds, D, R_N and residual; NaN where an evaluation failed.
-    rows = np.full((6, len(points)), np.nan)
-    omega = np.zeros(len(points), dtype=bool)
-    shared = None  # with prefix reuse, one simulated bundle serves every N
-    if not config.fresh_paths_per_n:
+    if config.fresh_paths_per_n:
+        rows = np.concatenate([estimator_cache(config, simulate_bundle(config, rng, n))
+                               .estimates((n,), **_settings(config)) for n in points])
+    else:
         # All n_max paths are drawn, so the rng stream does not depend on the
         # eval points; the cache needs only the largest prefix.
         bundle = simulate_bundle(config, rng, config.n_max)
-        shared = estimator_cache(config, replace(bundle, values=bundle.values[:points[-1]]))
-    for idx, n in enumerate(points):
-        cache = shared if shared is not None else estimator_cache(
-            config, simulate_bundle(config, rng, n))
-        try:
-            e = estimate(config, cache, n)
-        except (DegenerateStatisticsError, DivergenceError):
-            continue
-        if config.mode == "fbm":
-            rows[:, idx] = e.theta_tilde, e.aci[0], e.aci[1], e.d_n, e.r_n, e.residual
-            omega[idx] = e.omega_holds
-        else:
-            aci = e.aci or (np.nan, np.nan)
-            rows[:4, idx] = e.theta_hat, aci[0], aci[1], e.d_nn
-            omega[idx] = True
-    est, lo, hi, d_stats, r_n, resid = rows
+        cache = estimator_cache(config, replace(bundle, values=bundle.values[:points[-1]]))
+        rows = cache.estimates(points, **_settings(config))
+    # R_N and the residual are NaN in bm mode, where no fixed point is solved.
+    nan = np.full(len(points), np.nan)
+    fbm = config.mode == "fbm"
     return TrialResult(trial_index=trial_index, ns=np.asarray(points, dtype=int),
-                       estimates=est, aci_lower=lo, aci_upper=hi, omega=omega,
-                       d_stats=d_stats, r_n=r_n, residuals=resid)
+                       estimates=rows["estimate"], aci_lower=rows["aci_lower"],
+                       aci_upper=rows["aci_upper"], omega=rows["omega"], d_stats=rows["d_n"],
+                       r_n=rows["r_n"] if fbm else nan,
+                       residuals=rows["residual"] if fbm else nan)
 
 
 def default_workers() -> int:

@@ -180,6 +180,8 @@ def test_estimate_missing_input_is_io_error(tmp_path):
     "corr_rho=-1.5 corr_block=2", "corr_rho=1.5 corr_block=5",
     "T=inf", "sigma=nan", "theta0=nan", "x0=nan", "d_threshold=nan",
     "seed=-1", "alpha=1e-20",
+    # sigma^2 overflows, sigma^2 underflows to 0, T^2 underflows to 0.
+    "sigma=1e200", "sigma=1e-300", "T=1e-300",
 ])
 def test_validation_error_exit_code(tmp_path, capsys, setting):
     sets = [arg for item in setting.split() for arg in ("--set", item)]
@@ -226,8 +228,11 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     # A finite horizon whose T^2H, and so the fBm covariance, is out of the float range.
     (("experiment", "--set", "model=model2", "--set", "H=0.7", "--set", "T=1e308",
       "--set", "n_max=2", "--set", "replications=1"), 3),
+    # sigma^2 is finite, but sigma^2 Ybar_N, and so the interval, is not.
+    (("experiment", "--set", "model=model2", "--set", "H=0.7", "--set", "sigma=1e100",
+      "--set", "n_max=3", "--set", "replications=1"), 3),
 ], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
-        "fbm-overflow"])
+        "fbm-overflow", "interval-overflow"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")

@@ -24,6 +24,7 @@ from fpdrift import (
     max_horizon,
     normal_quantile,
 )
+from fpdrift.estimators import _prefix_sums
 from tests.conftest import solution_bundle
 
 
@@ -325,6 +326,15 @@ def test_iteration_schedule():
     assert diff in (1, 2)  # log(sqrt(4)) / log(2) = 1 extra iteration
 
 
+def test_iteration_schedule_memoized():
+    hp = HurstParams(h=0.7)
+    want = iteration_schedule.__wrapped__(17, 0.5, 0.75, 1.0, hp)
+    iteration_schedule(17, 0.5, 0.75, 1.0, hp)
+    hits = iteration_schedule.cache_info().hits
+    assert iteration_schedule(17, 0.5, 0.75, 1.0, HurstParams(h=0.7)) == want
+    assert iteration_schedule.cache_info().hits == hits + 1
+
+
 def test_max_horizon():
     hp = HurstParams(h=0.9)
     drift = drift_model("model2")
@@ -550,3 +560,133 @@ def test_taylor_table_skipped_without_finite_centre():
     assert cache._taylor is None
     for r in (1599.0, 1599.5, 1600.0):
         assert phi(r) == exact(r)
+
+
+# ---------------------------------------------------------------------------
+# All prefixes in one call: `estimates` against the scalar solve.
+# ---------------------------------------------------------------------------
+
+# (model, H, horizon, sigma, x0, seed, n, settings, prefixes that diverge).
+# model2 at T = 5 sends nearly every proper-prefix step to the exact sum;
+# enforce_omega, d_threshold and a fixed max_iters change the reported
+# estimate, the truncations and the step limits.
+SCALAR_SOLVE_CASES = {
+    "model1": ("model1", 0.9, 0.1, 0.25, 5.0, 3, 30, {}, 0),
+    "model2": ("model2", 0.7, 0.75, 1.0, 5.0, 4, 40, {"d_threshold": 2.0}, 0),
+    "model2-T5": ("model2", 0.7, 5.0, 1.0, 5.0, 5, 30, {"enforce_omega": True}, 0),
+    "sign-changing": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30, {}, 4),
+    "sign-changing-capped": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30,
+                             {"max_iters": 12}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_SOLVE_CASES))
+def test_estimates_match_scalar_solve(case):
+    name, h, horizon, sigma, x0, seed, n, settings, want_diverged = SCALAR_SOLVE_CASES[case]
+    bundle = solution_bundle(model=name, h=h, horizon=horizon, sigma=sigma, x0=x0,
+                             n=n, seed=seed)
+    drift, hurst, c, tol, alpha = drift_model(name), HurstParams(h=h), 0.5, 1e-12, 0.05
+    cache = FbmEstimatorCache(bundle, drift, hurst, sigma)
+    rows = cache.estimates(range(1, n + 1), c=c, alpha=alpha, tol=tol, **settings)
+    diverged = 0
+    for m, row in zip(range(1, n + 1), rows):
+        stats = cache.stats(m)
+        limit = settings.get("max_iters") or iteration_schedule(
+            m, c, horizon, drift.sup_norm_b_prime, hurst)
+        try:
+            r, iterations, residual = fixed_point(cache.phi(m, stats), limit, tol)
+        except DivergenceError as exc:
+            diverged += 1
+            assert np.isnan([row[k] for k in ("estimate", "aci_lower", "d_n", "r_n",
+                                              "residual", "ybar")]).all()
+            assert not row["omega"]
+            assert f"after {row['iterations']} steps" in str(exc)
+            with pytest.raises(DivergenceError, match=str(exc)):
+                cache.estimate(m, c=c, alpha=alpha, tol=tol, **settings)
+            continue
+        omega = drift.b_prime_bounded and check_omega(stats, hurst, sigma,
+                                                      drift.sup_norm_b_prime, horizon, c)
+        theta = stats.i_n + r
+        theta_c = theta if omega else 0.0
+        reported = theta_c if settings.get("enforce_omega") else theta
+        ybar = cache.ybar(m)
+        half = 2.0 * math.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
+            math.sqrt(m) * stats.d_n)
+        want = dict(estimate=reported, r_n=r, iterations=iterations, residual=residual,
+                    omega=omega, theta_c=theta_c, d_n=stats.d_n, i_n=stats.i_n,
+                    theta_cd=theta_c if stats.d_n >= settings.get("d_threshold", 0.0) else 0.0,
+                    aci_lower=reported - half, aci_upper=reported + half, ybar=ybar)
+        assert dict(zip(rows.dtype.names, row.tolist())) == want  # bitwise, field by field
+    assert diverged == want_diverged
+
+
+def test_estimates_nan_rows_where_dn_vanishes():
+    # b(x) = x: the zero first path makes D_1 = 0, while D_2 > 0.
+    grid = Grid(horizon=1.0, steps=2)
+    values = np.array([[0.0, 0.0, 0.0], [1.0, 0.9, 0.8]])
+    bundle = PathBundle(grid=grid, values=values, kind="solution")
+    cache = FbmEstimatorCache(bundle, drift_model("custom:1,0"), HurstParams(h=0.8), 1.0)
+    rows = cache.estimates([1, 2])
+    assert np.isnan(rows[0][["estimate", "aci_lower", "aci_upper", "d_n", "r_n",
+                             "residual"]].tolist()).all()
+    assert (rows["omega"][0], rows["iterations"][0]) == (False, 0)
+    with pytest.raises(DegenerateStatisticsError):
+        cache.estimate(1)
+    assert cache.estimate(2).theta_tilde == rows["estimate"][1]
+    bm = BmEstimatorCache(bundle, drift_model("custom:1,0"), sigma=1.0).estimates([1, 2])
+    assert np.isnan(bm["estimate"][0]) and not bm["omega"][0]
+    truncated = BmEstimatorCache(bundle, drift_model("custom:1,0"), sigma=1.0).estimates(
+        [1, 2], d_threshold=0.5)
+    assert truncated["omega"][0] and truncated["estimate_d"][0] == 0.0
+
+
+def test_bm_estimates_match_estimate():
+    bundle = solution_bundle(h=0.5, n=25, seed=6)
+    cache = BmEstimatorCache(bundle, drift_model("model2"), sigma=1.0)
+    rows = cache.estimates(range(1, 26), d_threshold=3.0, alpha=0.1)
+    for m, row in zip(range(1, 26), rows):
+        est = cache.estimate(m, d_threshold=3.0, alpha=0.1)
+        assert row.tolist() == (est.d_nn, est.v_nn, est.theta_hat, est.theta_hat_d, est.ybar,
+                                *est.aci[:2], True)
+        x = bundle.values[:m]
+        b = -x[:, :-1]
+        d_nn = float((b**2).sum(axis=1).sum() * bundle.grid.mesh / (m * bundle.grid.horizon))
+        assert est.d_nn == pytest.approx(d_nn, rel=1e-12)
+
+
+def test_prefix_sums_are_slice_sums():
+    # numpy's pairwise sum of each slice, bit for bit; a cumsum differs.
+    per_path = np.random.default_rng(3).standard_normal((3, 300)) * 1e3
+    ns = np.arange(1, 301)
+    sums = _prefix_sums(per_path, ns)
+    for k in range(3):
+        assert sums[k].tolist() == [per_path[k, :n].sum() for n in range(1, 301)]
+    assert sums[0].tolist() != np.cumsum(per_path[0]).tolist()
+
+
+# sha256 of the comma-joined Picard iteration counts (-1 where the iterates
+# diverged) of trials 0 and 1 at seed 0, computed with one scalar solve per
+# prefix before `estimates` existed.
+PINNED_PICARD_COUNTS = {
+    "fbm-prefix": ({"model": "model2", "hurst": 0.7, "horizon": 0.75, "sigma": 1.0,
+                    "steps": 20, "n_max": 200},
+                   "259699cb8441fc317eef068c9c93888fa728e816c9d95a51b4efcd254bc52fed"),
+    "sign-changing": ({"model": "custom:-1,0,1,0", "hurst": 0.7, "horizon": 1.0,
+                       "sigma": 1.0, "x0": 0.3, "steps": 20, "n_max": 100},
+                      "8443605cd09120c93806f0ea7ec7a90c314ce2f0efdd0cb036d8409421baaa5a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PICARD_COUNTS))
+def test_picard_counts_pinned(case):
+    import hashlib
+    from fpdrift import montecarlo
+
+    kwargs, digest = PINNED_PICARD_COUNTS[case]
+    cfg = montecarlo.ExperimentConfig(replications=2, seed=0, **kwargs)
+    counts = []
+    for trial in range(2):
+        bundle = montecarlo.simulate_bundle(cfg, montecarlo.trial_rng(cfg, trial), cfg.n_max)
+        rows = montecarlo.estimator_cache(cfg, bundle).estimates(cfg.points)
+        counts += np.where(np.isnan(rows["r_n"]), -1, rows["iterations"]).tolist()
+    assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
