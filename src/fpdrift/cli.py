@@ -200,6 +200,21 @@ def _trajectory_lines(trials) -> list[str]:
     return lines
 
 
+def _trajectory_payload(trials) -> dict:
+    return {
+        "trials": [
+            {
+                "trial": t.trial_index,
+                "N": [int(n) for n in t.ns],
+                "estimate": list(map(float, t.estimates)),
+                "aci_lower": list(map(float, t.aci_lower)),
+                "aci_upper": list(map(float, t.aci_upper)),
+            }
+            for t in trials
+        ]
+    }
+
+
 def _write_report(cfg: RunConfig, name: str, lines: list[str], payload: dict) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.format == "csv":
@@ -220,19 +235,11 @@ def cmd_experiment(cfg: RunConfig, workers: int) -> int:
               f"(mean_error={report.mean_error:.6g})")
     _warn_untruncated(cfg, report, e.points[-1])
     _write_summary(cfg, report)
-    traj_payload = {
-        "trials": [
-            {
-                "trial": t.trial_index,
-                "N": [int(n) for n in t.ns],
-                "estimate": list(map(float, t.estimates)),
-                "aci_lower": list(map(float, t.aci_lower)),
-                "aci_upper": list(map(float, t.aci_upper)),
-            }
-            for t in trials
-        ]
-    }
-    _write_report(cfg, "trajectories", _trajectory_lines(trials), traj_payload)
+    # Only the written format's rows are built.
+    if cfg.format == "csv":
+        _write_report(cfg, "trajectories", _trajectory_lines(trials), {})
+    else:
+        _write_report(cfg, "trajectories", [], _trajectory_payload(trials))
     return EXIT_OK
 
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-import yaml
-
 from .errors import ConfigError
 from .montecarlo import ExperimentConfig
 
@@ -145,6 +143,8 @@ def parse_config(
     """Build a RunConfig from an optional YAML/JSON file plus key=value overrides."""
     raw: dict[str, Any] = {}
     if path is not None:
+        import yaml  # only config files need it
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)

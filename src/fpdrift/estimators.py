@@ -606,10 +606,12 @@ class BmEstimatorCache:
         self.n_paths = paths.n_paths
         b_nodes = drift.b(x[:, :-1])
         sig_nodes = vol.sigma_fn(x[:, :-1]) if vol is not None else np.full_like(b_nodes, sigma)
-        # Per-path contributions to D, V and Ybar, summed over each prefix.
-        self._per_path = np.stack([(b_nodes**2).sum(axis=1) * dt,
-                                   (b_nodes * np.diff(x, axis=1)).sum(axis=1),
-                                   (b_nodes**2 * sig_nodes**2).sum(axis=1) * dt])
+        # Per-path contributions to D, V and Ybar, summed over each prefix. An
+        # overflow here is reported by `estimates` (DivergenceError), not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._per_path = np.stack([(b_nodes**2).sum(axis=1) * dt,
+                                       (b_nodes * np.diff(x, axis=1)).sum(axis=1),
+                                       (b_nodes**2 * sig_nodes**2).sum(axis=1) * dt])
 
     def estimates(self, points: Optional[Sequence[int]] = None, *, d_threshold: float = 0.0,
                   alpha: float = 0.05) -> np.ndarray:

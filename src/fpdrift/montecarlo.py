@@ -15,9 +15,8 @@ import contextlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -238,9 +237,11 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+@cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS mapped into this process,
-    or None where there is none or no /proc to find it in."""
+    or None where there is none or no /proc to find it in. Memoized, as the
+    library mapped into a process does not change."""
     import ctypes
 
     try:
@@ -292,6 +293,11 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     indices = range(config.replications)
     if workers <= 1 or config.replications == 1:
         return [run_trial(config, i) for i in indices]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit the parent's modules: importing numpy.random once
+    # here spares each of them that import on its first trial.
+    import numpy.random  # noqa: F401
     workers = min(workers, config.replications)
     chunksize = math.ceil(config.replications / (4 * workers))
     with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:

@@ -165,18 +165,26 @@ def euler_additive(spec: SdeSpec, noise: PathBundle) -> PathBundle:
         raise ValueError("noise bundle grid does not match the SDE grid")
     if noise.kind != "noise":
         raise ValueError("euler_additive expects a noise bundle")
-    dt = spec.grid.mesh
-    db = np.diff(noise.values, axis=1)
-    x = np.empty_like(noise.values)
-    x[:, 0] = spec.x0
+    b = spec.drift.b
+    # 0-d arrays spare each step's ufuncs the conversion of a Python float.
+    theta0, dt = np.array(spec.theta0), np.array(spec.grid.mesh)
+    # Time-major state, so each step reads and writes contiguous rows in place.
+    x = np.empty((spec.grid.steps + 1, noise.n_paths))
+    x[0] = spec.x0
     # Overflow is reported once, as DivergenceError, instead of as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(spec.grid.steps):
-            x[:, j + 1] = x[:, j] + spec.theta0 * spec.drift.b(x[:, j]) * dt + spec.sigma * db[:, j]
+        sdb = np.multiply(spec.sigma, np.diff(noise.values, axis=1).T, order="C")
+        for xj, xnext, sdbj in zip(x[:-1], x[1:], sdb):
+            # A fresh product before the in-place scaling, so a drift that
+            # returns its argument cannot alias the state.
+            d = theta0 * b(xj)
+            d *= dt
+            np.add(xj, d, out=xnext)
+            xnext += sdbj
     if not np.all(np.isfinite(x)):
         raise DivergenceError("the Euler scheme produced non-finite values; "
                               "the drift explodes on this horizon")
-    return PathBundle(grid=spec.grid, values=x, kind="solution")
+    return PathBundle(grid=spec.grid, values=np.ascontiguousarray(x.T), kind="solution")
 
 
 def euler_multiplicative(spec: SdeSpec, vol: VolModel, noise: PathBundle) -> PathBundle:

@@ -1,7 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import fpdrift
 
 from fpdrift import ConfigError, parse_config
 from fpdrift.cli import main, _parse_grid, _read_bundle_csv
@@ -84,6 +89,16 @@ def test_round_trip(tmp_path):
     dumped.write_text(yaml.safe_dump(cfg.to_dict()), encoding="utf-8")
     again = parse_config(str(dumped))
     assert again == cfg
+
+
+def test_cli_import_loads_no_pool_yaml_or_random():
+    # Serial runs need none of these; the pool and config files import them on use.
+    code = ("import sys, fpdrift.cli; print(sorted(m for m in ('yaml', 'concurrent.futures', "
+            "'multiprocessing', 'numpy.random') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(fpdrift.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parse_grid():
@@ -231,8 +246,11 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     # sigma^2 is finite, but sigma^2 Ybar_N, and so the interval, is not.
     (("experiment", "--set", "model=model2", "--set", "H=0.7", "--set", "sigma=1e100",
       "--set", "n_max=3", "--set", "replications=1"), 3),
+    # The same at H = 1/2, where the per-path Ybar sums already overflow.
+    (("experiment", "--set", "model=model2", "--set", "mode=bm", "--set", "H=0.5",
+      "--set", "sigma=1e100", "--set", "n_max=3", "--set", "replications=1"), 3),
 ], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
-        "fbm-overflow", "interval-overflow"])
+        "fbm-overflow", "interval-overflow", "bm-interval-overflow"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")

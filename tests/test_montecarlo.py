@@ -1,9 +1,11 @@
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,21 @@ def test_pool_workers_run_one_blas_thread():
         with ProcessPoolExecutor(max_workers=2, mp_context=fork) as pool:
             assert list(pool.map(_worker_threads, range(2))) == [1, 1]
     assert get() == before
+
+
+def test_pooled_run_imports_numpy_random_before_forking():
+    # Workers inherit numpy.random from the parent instead of importing it each.
+    code = ("import sys\n"
+            "from fpdrift import ExperimentConfig, run_trials\n"
+            "cfg = ExperimentConfig(model='model2', hurst=0.9, horizon=0.75, sigma=1.0,\n"
+            "                       replications=2, n_max=3)\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "run_trials(cfg, workers=2)\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "True"
 
 
 def test_run_experiment_single_replication():

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fpdrift import (
     CrossCorrelation,
+    DivergenceError,
     Grid,
     HurstParams,
     PathBundle,
@@ -72,6 +75,51 @@ def test_euler_additive_hand_computed():
     x2 = x1 + 2.0 * (-x1) * 0.5 + 0.5 * (-0.1 - 0.2)   # = -0.15
     assert out.values[0] == pytest.approx([1.0, x1, x2])
     assert out.kind == "solution"
+
+
+def _euler_oracle(spec, noise):
+    """The Euler scheme written column by column, as in its formula."""
+    db = np.diff(noise.values, axis=1)
+    x = np.empty_like(noise.values)
+    x[:, 0] = spec.x0
+    for j in range(spec.grid.steps):
+        x[:, j + 1] = x[:, j] + spec.theta0 * spec.drift.b(x[:, j]) * spec.grid.mesh \
+            + spec.sigma * db[:, j]
+    return x
+
+
+@pytest.mark.parametrize("h", [0.5, 0.9])
+@pytest.mark.parametrize("model,horizon,x0", [
+    ("model1", 0.1, 5.0), ("model2", 0.75, 5.0), ("custom:-1,0,1,0", 0.5, 0.5)])
+def test_euler_additive_matches_columnwise_oracle(model, horizon, x0, h):
+    grid = Grid(horizon=horizon, steps=50)
+    hurst = HurstParams(h=h)
+    noise = sample_fbm_bundle(hurst, grid, CrossCorrelation.identity(7),
+                              np.random.default_rng(3))
+    spec = SdeSpec(x0=x0, theta0=1.5, sigma=0.8, drift=drift_model(model),
+                   hurst=hurst, grid=grid)
+    out = euler_additive(spec, noise)
+    assert out.values.shape == (7, 51) and out.values.flags.c_contiguous
+    assert np.array_equal(out.values, _euler_oracle(spec, noise))
+
+
+def test_euler_additive_identity_drift_does_not_alias_state():
+    # b returns its argument itself; the step must not scale the state in place.
+    grid = Grid(horizon=1.0, steps=4)
+    noise = PathBundle(grid=grid, values=np.zeros((2, 5)), kind="noise")
+    drift = replace(drift_model("model2"), b=lambda x: x)
+    spec = SdeSpec(x0=1.0, theta0=1.0, sigma=1.0, drift=drift, hurst=HurstParams(h=0.7),
+                   grid=grid)
+    assert np.array_equal(euler_additive(spec, noise).values, np.tile(1.25 ** np.arange(5), (2, 1)))
+
+
+def test_euler_additive_explosive_drift_raises():
+    grid = Grid(horizon=1.0, steps=20)
+    noise = PathBundle(grid=grid, values=np.zeros((3, 21)), kind="noise")
+    spec = SdeSpec(x0=5.0, theta0=1.0, sigma=1.0, drift=drift_model("custom:1,0,0"),
+                   hurst=HurstParams(h=0.7), grid=grid)
+    with pytest.raises(DivergenceError):
+        euler_additive(spec, noise)
 
 
 def test_euler_additive_checks_inputs():
