@@ -17,14 +17,15 @@ O(N*steps) `exp` calls plus one (N x steps) @ (steps x steps) matmul, and the
 cache holds O(N*steps + steps^2) numbers. The kernels depend only on (H, grid)
 and are built once per process.
 
-`cache.estimates(points)` solves all prefixes N in points (the Monte Carlo
-engine: N = 1..n_max) in one vectorized Picard iteration. A proper prefix n < N
-is served from a Taylor table of Phi_N about s0 = I of the full bundle: K = 10
-moments per path, prefix-summed, built once per cache at the cost of about K
-exact evaluations. A Picard step is then a degree-K Horner evaluation, O(K)
-whatever N and steps are. The table value is used only when a bound on its
-Taylor remainder and rounding is below 1e-13 of it; otherwise, and always on
-the full bundle, the exact sum of that prefix alone is evaluated.
+`FbmEstimatorCache.solve(caches, points)` solves all prefixes N in points (the
+Monte Carlo engine: N = 1..n_max) of caches of one config in one vectorized
+Picard iteration, bitwise as `cache.estimates(points)` on each. A proper
+prefix n < N is served from a Taylor table of Phi_N about s0 = I of the full
+bundle: K = 10 moments per path, prefix-summed, built once per cache at the
+cost of about K exact evaluations. A Picard step is then a degree-K Horner
+evaluation, O(K) whatever N and steps are. The table value is used only when a
+bound on its Taylor remainder and rounding is below 1e-13 of it; otherwise,
+and always on the full bundle, the exact sum of that prefix alone is evaluated.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ BM_ROW = np.dtype([("d_n", float), ("v_n", float), ("estimate", float), ("estima
 
 
 def _prefix_sums(per_path: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """Row k of per_path summed over the first n paths, for each n in ns: bitwise
-    per_path[k, :n].sum() (numpy's pairwise sum), which a cumsum is not."""
-    return np.array([np.add.reduce(per_path[:, :n], axis=1) for n in ns.tolist()]).T
+    """per_path[..., :n] summed over its last axis, for each n in ns along a new
+    last axis: bitwise numpy's pairwise sum of the slice, which a cumsum is not."""
+    return np.stack([np.add.reduce(per_path[..., :n], axis=-1) for n in ns.tolist()], -1)
 
 
 def _rows(dtype: np.dtype, defined: np.ndarray, **fields) -> np.ndarray:
@@ -173,13 +174,13 @@ _MAX_FACTOR_EXPONENT = float(np.log(np.finfo(float).max)) - 32.0
 
 
 @functools.lru_cache(maxsize=8)
-def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernels of one (H, grid), built once per process and shared read-only.
 
     lag[j, l] = |t_j - t_l|^(2H-2) over nodes t_0..t_nu, zero on the diagonal;
-    tri[j - 1, l] = (t_j - t_l)^(2H-2) mesh^2 for l < j, zero otherwise.
-    A run uses one (H, grid); the bound keeps a long-lived process from holding
-    every kernel it ever built.
+    tri[j - 1, l] = (t_j - t_l)^(2H-2) mesh^2 for l < j, zero otherwise;
+    kappa = the row sums of tri. A run uses one (H, grid); the bound keeps a
+    long-lived process from holding every kernel it ever built.
     """
     t = grid.nodes
     dt = grid.mesh
@@ -188,9 +189,10 @@ def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     lag = diff ** (2.0 * hurst.h - 2.0)
     np.fill_diagonal(lag, 0.0)
     tri = np.tril(lag[1:, :-1]) * dt * dt
-    lag.flags.writeable = False
-    tri.flags.writeable = False
-    return lag, tri
+    kappa = tri.sum(axis=1)
+    for a in (lag, tri, kappa):
+        a.flags.writeable = False
+    return lag, tri, kappa
 
 
 # Taylor table of Phi_N on proper prefixes: order K, and the bound on the
@@ -335,28 +337,19 @@ def max_horizon(
 # Confidence-interval statistic for H > 1/2.
 # ---------------------------------------------------------------------------
 
-def _ybar_contributions(
-    paths: PathBundle,
-    drift: DriftModel,
-    hurst: HurstParams,
-    sigma: float,
-) -> np.ndarray:
-    """Per-path contributions y_i to the asymptotic-variance statistic.
+def _ybar_contributions(b: np.ndarray, bp: np.ndarray, hurst: HurstParams, grid: Grid,
+                        sigma: float) -> np.ndarray:
+    """Per-path contributions y_i to the asymptotic-variance statistic, from b
+    and b' on the nodes t_1..t_nu.
 
     The quadruple sum factorizes over its two (outer, inner) index pairs into a
     perfect square, so it costs O(steps^2) per path and is never negative.
     """
-    dt = paths.grid.mesh
-    lag, tri = _kernels(hurst, paths.grid)
-    x_nodes = paths.values[:, 1:]  # nodes t_1..t_nu
-
-    babs = np.abs(drift.b(x_nodes))
-    double_term = hurst.alpha * dt * dt * ((babs @ lag[1:, 1:]) * babs).sum(axis=1)
-
+    lag, _, kappa = _kernels(hurst, grid)
+    babs = np.abs(b)
+    double_term = hurst.alpha * grid.mesh * grid.mesh * ((babs @ lag[1:, 1:]) * babs).sum(axis=1)
     # kappa_j mesh = sum_{l<j} (t_j - t_l)^(2H-2) mesh^2, the row sums of tri
-    s_lin = drift.b_prime(x_nodes) @ tri.sum(axis=1)
-    quad_term = hurst.alpha**2 * sigma**2 * s_lin**2
-
+    quad_term = hurst.alpha**2 * sigma**2 * (bp @ kappa)**2
     return double_term + quad_term
 
 
@@ -379,10 +372,11 @@ class FbmEstimatorCache:
         self.t_total = paths.grid.horizon
         x = paths.values
         dt = paths.grid.mesh
-        d_i = (drift.b(x[:, :-1]) ** 2).sum(axis=1) * dt
+        b, bp = drift.b(x), drift.b_prime(x)
+        d_i = (b[:, :-1] ** 2).sum(axis=1) * dt
         ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
-        self._per_path = np.stack([d_i, ib_i, _ybar_contributions(paths, drift, hurst, sigma)])
-        bp = drift.b_prime(x)
+        y_i = _ybar_contributions(b[:, 1:], bp[:, 1:], hurst, paths.grid, sigma)
+        self._per_path = np.stack([d_i, ib_i, y_i])
         # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
         # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
         c = np.zeros_like(x)
@@ -394,27 +388,30 @@ class FbmEstimatorCache:
         self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
         self._tri = _kernels(hurst, paths.grid)[1]
 
-    def _prefix_stats(self, ns: np.ndarray) -> tuple[SufficientStats, np.ndarray]:
-        """D_N, I_N and M_N as arrays over the prefix sizes ns, plus Ybar_N
-        as a fourth array; I_N and M_N mean nothing where D_N <= 0."""
-        d_sum, ib_sum, y_sum = _prefix_sums(self._per_path, ns)
-        nt = ns * self.t_total
+    @staticmethod
+    def _pair_stats(caches, ns: np.ndarray) -> tuple[SufficientStats, np.ndarray]:
+        """D_N, I_N and M_N of the pairs (caches[t], prefix ns[j]), t-major, plus
+        Ybar_N as a fourth array; I_N and M_N mean nothing where D_N <= 0."""
+        first, n = caches[0], np.tile(ns, len(caches))
+        per_path = np.stack([cache._per_path for cache in caches], axis=1)  # (3, chunk, paths)
+        d_sum, ib_sum, y_sum = _prefix_sums(per_path, ns).reshape(3, -1)
+        nt = n * first.t_total
         # D_N = 0 divides by zero, and M_N overflows to inf where Omega_N cannot hold.
         with np.errstate(all="ignore"):
             d_n = d_sum / nt
             i_n = ib_sum / (nt * d_n)
-            m_n = np.exp(self.drift.sup_norm_b_prime * np.abs(i_n) * self.t_total)
-            ybar = self.sigma**2 / (ns * self.t_total**2) * y_sum
+            m_n = np.exp(first.drift.sup_norm_b_prime * np.abs(i_n) * first.t_total)
+            ybar = first.sigma**2 / (n * first.t_total**2) * y_sum
         return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n), ybar
 
     def stats(self, n: Optional[int] = None) -> SufficientStats:
-        stats, _ = self._prefix_stats(np.array([self.paths.n_paths if n is None else n]))
+        stats, _ = self._pair_stats([self], np.array([self.paths.n_paths if n is None else n]))
         if stats.d_n[0] <= 0.0:
             raise DegenerateStatisticsError("D_N vanished on this prefix")
         return SufficientStats(*(float(a[0]) for a in (stats.d_n, stats.i_n, stats.m_n)))
 
     def ybar(self, n: int) -> float:
-        return float(self._prefix_stats(np.array([n]))[1][0])
+        return float(self._pair_stats([self], np.array([n]))[1][0])
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N.
@@ -423,27 +420,38 @@ class FbmEstimatorCache:
         whenever its certified error bound allows, and from `_phi_exact`
         otherwise; the full bundle always takes `_phi_exact`.
         """
-        phi = self._phi_prefixes(np.array([n]), SufficientStats(
+        phi = self._phi_pairs([self], np.array([n]), SufficientStats(
             *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
         return lambda r: float(phi(np.zeros(1, dtype=np.int64), np.array([r]))[0])
 
-    def _phi_prefixes(self, ns: np.ndarray,
-                      stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """Phi_N of prefix ns[k] at r, for index and iterate arrays (k, r): the
-        Taylor table where its error bound holds, else the exact sum of that
-        prefix alone."""
-        scale = self._scale(ns, stats.d_n)
-        table = self._taylor if (ns < self.paths.n_paths).any() else None
+    @staticmethod
+    def _phi_pairs(caches, ns: np.ndarray,
+                   stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
+        (k, r): its cache's Taylor table where the error bound holds, else the
+        exact sum of that prefix alone."""
+        n_paths = caches[0].paths.n_paths
+        trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
+        scale = caches[0]._scale(n, stats.d_n)
+        proper = bool((ns < n_paths).any())
+        if proper:
+            # The tables end to end; a cache without one gets NaN centres, so no
+            # bound holds on its pairs and all take the exact sum.
+            tables = [cache._taylor or (np.nan, np.zeros((n_paths, _TAYLOR_ORDER)),
+                                        np.zeros(n_paths)) for cache in caches]
+            s0, moments, weights = (np.concatenate(a) for a in zip(*(
+                (np.full(n_paths, s), m, w) for s, m, w in tables)))
+            reach = np.concatenate([cache._c_reach for cache in caches])
+            table_row = trial * n_paths + n - 1
 
         def phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
             values = np.full(len(k), np.nan)
-            if table is not None:
-                s0, moments, weights = table
-                n = ns[k]
-                x = r + stats.i_n[k] - s0
-                y = np.abs(x) * self._c_reach[n - 1]
-                served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n < self.paths.n_paths))
-                x, y, rows = x[served], y[served], n[served] - 1
+            if proper:
+                rows = table_row[k]
+                x = r + stats.i_n[k] - s0[rows]
+                y = np.abs(x) * reach[rows]
+                served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n[k] < n_paths))
+                x, y, rows = x[served], y[served], rows[served]
                 coeffs = moments[rows]
                 v = np.zeros(len(served))
                 for j in range(_TAYLOR_ORDER - 1, -1, -1):
@@ -456,7 +464,7 @@ class FbmEstimatorCache:
             for j in np.flatnonzero(np.isnan(values)).tolist():
                 e = k[j]
                 prefix = SufficientStats(*(float(a[e]) for a in (stats.d_n, stats.i_n, stats.m_n)))
-                values[j] = self._phi_exact(int(ns[e]), prefix)(float(r[j]))
+                values[j] = caches[trial[e]]._phi_exact(int(n[e]), prefix)(float(r[j]))
             return values
 
         return phi
@@ -528,39 +536,44 @@ class FbmEstimatorCache:
             return None
         return s0, moments, weights
 
-    def estimates(self, points: Optional[Sequence[int]] = None, *,
-                  c: float = DEFAULT_CONTRACTION, d_threshold: float = 0.0, alpha: float = 0.05,
-                  enforce_omega: bool = False, max_iters: Optional[int] = None,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
-        """One `FBM_ROW` per n in points (default: all paths): the fixed-point
-        estimate on the first n paths, with its confidence interval of
-        half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N). Picard runs from 0 on
-        all prefixes at once; each stops after a step of at most tol, or after
-        max_iters steps (default: the `iteration_schedule` of its N)."""
+    @staticmethod
+    def solve(caches: Sequence["FbmEstimatorCache"], points: Optional[Sequence[int]] = None, *,
+              c: float = DEFAULT_CONTRACTION, d_threshold: float = 0.0, alpha: float = 0.05,
+              enforce_omega: bool = False, max_iters: Optional[int] = None,
+              tol: float = DEFAULT_TOL) -> np.ndarray:
+        """`FBM_ROW`s, shape (len(caches), len(points)): [t, j] is the estimate on
+        the first points[j] paths of caches[t] (default: all), the same bits as
+        alone, with its interval of half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N).
+        Picard runs from 0 on all pairs at once; each stops after a step of at
+        most tol, or after max_iters steps (default: the `iteration_schedule` of N)."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if (max_iters is not None and max_iters < 1) or tol < 0.0:
             raise ValueError(f"need max_iters >= 1 and tol >= 0, got {max_iters} and {tol}")
-        ns = np.array([self.paths.n_paths] if points is None else points, dtype=np.int64)
-        stats, ybar = self._prefix_stats(ns)
+        if len({(x.paths.n_paths, x.paths.grid, x.hurst, x.sigma) for x in caches}) != 1:
+            raise ValueError("the caches must share n_paths, grid, H and sigma")
+        first = caches[0]
+        ns = np.array([first.paths.n_paths] if points is None else points, dtype=np.int64)
+        (stats, ybar), n = first._pair_stats(caches, ns), np.tile(ns, len(caches))
         ok = ~(stats.d_n <= 0.0)
         live = np.flatnonzero(ok)
-        sup = self.drift.sup_norm_b_prime
-        omega = np.zeros(len(ns), dtype=bool)
+        sup = first.drift.sup_norm_b_prime
+        omega = np.zeros(len(n), dtype=bool)
         # With b' unbounded, the probe-interval sup|b'| is no bound on the
         # paths, so it may set the iteration count but never certify Omega_N.
-        if self.drift.b_prime_bounded:
+        if first.drift.b_prime_bounded:
             live_stats = SufficientStats(stats.d_n[live], stats.i_n[live], stats.m_n[live])
-            omega[live] = check_omega(live_stats, self.hurst, self.sigma, sup, self.t_total, c)
-        limits = np.array([max_iters or iteration_schedule(n, c, self.t_total, sup, self.hurst)
-                           for n in ns.tolist()])
-        r, iterations = np.zeros(len(ns)), np.zeros(len(ns), dtype=np.int64)
-        residual = np.full(len(ns), np.nan)
+            omega[live] = check_omega(live_stats, first.hurst, first.sigma, sup,
+                                      first.t_total, c)
+        limits = np.tile([max_iters or iteration_schedule(m, c, first.t_total, sup, first.hurst)
+                          for m in ns.tolist()], len(caches))
+        r, iterations = np.zeros(len(n)), np.zeros(len(n), dtype=np.int64)
+        residual = np.full(len(n), np.nan)
         k, r_k, limits_k, steps = live, r[live], limits[live], 0
         with np.errstate(all="ignore"):
             half = 2.0 * np.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
-                np.sqrt(ns) * stats.d_n)
-            phi = self._phi_prefixes(ns, stats)
+                np.sqrt(n) * stats.d_n)
+            phi = first._phi_pairs(caches, ns, stats)
             while k.size:
                 steps += 1
                 r_next = phi(k, r_k)
@@ -577,7 +590,12 @@ class FbmEstimatorCache:
                          aci_upper=reported + half, d_n=stats.d_n, i_n=stats.i_n, r_n=r,
                          residual=residual, omega=omega & ok, iterations=iterations,
                          theta_c=theta_c, ybar=ybar,
-                         theta_cd=np.where(stats.d_n >= d_threshold, theta_c, 0.0))
+                         theta_cd=np.where(stats.d_n >= d_threshold, theta_c, 0.0),
+                         ).reshape(len(caches), len(ns))
+
+    def estimates(self, points: Optional[Sequence[int]] = None, **settings) -> np.ndarray:
+        """The `solve` rows of this cache alone: one `FBM_ROW` per n in points."""
+        return self.solve([self], points, **settings)[0]
 
     def estimate(self, n: Optional[int] = None, *, alpha: float = 0.05,
                  **settings) -> EstimateFBM:
@@ -613,18 +631,23 @@ class BmEstimatorCache:
                                        (b_nodes * np.diff(x, axis=1)).sum(axis=1),
                                        (b_nodes**2 * sig_nodes**2).sum(axis=1) * dt])
 
-    def estimates(self, points: Optional[Sequence[int]] = None, *, d_threshold: float = 0.0,
-                  alpha: float = 0.05) -> np.ndarray:
-        """One `BM_ROW` per n in points (default: all paths): the least-squares
-        estimate on the first n paths; NaN where D_{N,n} <= 0."""
+    @staticmethod
+    def solve(caches: Sequence["BmEstimatorCache"], points: Optional[Sequence[int]] = None, *,
+              d_threshold: float = 0.0, alpha: float = 0.05) -> np.ndarray:
+        """`BM_ROW`s, shape (len(caches), len(points)): [t, j] is the least-squares
+        estimate on the first points[j] paths of caches[t] (default: all), the
+        same bits as alone; NaN where D_{N,n} <= 0."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        ns = np.array([self.n_paths] if points is None else points, dtype=np.int64)
-        d_sum, v_sum, y_sum = _prefix_sums(self._per_path, ns)
-        nt = ns * self.t_total
+        if len({(x.n_paths, x.t_total) for x in caches}) != 1:
+            raise ValueError("the caches must share n_paths and T")
+        t_total = caches[0].t_total
+        ns = np.array([caches[0].n_paths] if points is None else points, dtype=np.int64)
+        d_sum, v_sum, y_sum = _prefix_sums(np.stack([c._per_path for c in caches], axis=1), ns)
+        nt = ns * t_total
         with np.errstate(all="ignore"):
             d_nn, v_nn = d_sum / nt, v_sum / nt
-            ybar = y_sum / (ns * self.t_total**2)
+            ybar = y_sum / (ns * t_total**2)
             positive = ~(d_nn <= 0.0)
             theta = np.where(positive, v_nn / d_nn, np.nan)
             half = np.sqrt(ybar) * normal_quantile(1.0 - alpha / 2.0) / (np.sqrt(ns) * d_nn)
@@ -633,6 +656,10 @@ class BmEstimatorCache:
                          aci_upper=theta + half, d_n=d_nn, v_n=v_nn,
                          estimate_d=np.where(d_nn >= d_threshold, theta, 0.0), ybar=ybar,
                          omega=defined)
+
+    def estimates(self, points: Optional[Sequence[int]] = None, **settings) -> np.ndarray:
+        """The `solve` rows of this cache alone: one `BM_ROW` per n in points."""
+        return self.solve([self], points, **settings)[0]
 
     def estimate(self, n: Optional[int] = None, *, d_threshold: float = 0.0,
                  alpha: float = 0.05) -> EstimateBM:

@@ -70,11 +70,13 @@ class CrossCorrelation:
     """Correlation structure across the N copies.
 
     `matrix is None` encodes the identity (independent copies) without
-    materializing an N x N array, so very large bundles stay cheap.
+    materializing an N x N array, so very large bundles stay cheap. `factor` is
+    the matrix's Cholesky factor, found by validation and kept for sampling.
     """
 
     size: int
     matrix: np.ndarray | None = None
+    factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -87,7 +89,9 @@ class CrossCorrelation:
                 raise ValueError("correlation matrix must be symmetric")
             if not np.allclose(np.diag(m), 1.0, atol=1e-12):
                 raise ValueError("correlation matrix must have unit diagonal")
-            _cholesky_psd(m)  # raises if not PSD
+            factor = _cholesky_psd(m)  # raises if not PSD
+            factor.flags.writeable = False
+            object.__setattr__(self, "factor", factor)
 
     @classmethod
     def identity(cls, size: int) -> "CrossCorrelation":
@@ -188,14 +192,15 @@ def sample_fbm_bundle(
     z = rng.standard_normal((corr.size, grid.steps))
     paths = z @ l_time.T
     if not corr.is_identity:
-        l_cross = _cholesky_psd(np.asarray(corr.matrix, dtype=float))
-        paths = l_cross @ paths
+        paths = corr.factor @ paths
     values = np.hstack([np.zeros((corr.size, 1)), paths])
     return PathBundle(grid=grid, values=values, kind="noise")
 
 
+@functools.lru_cache(maxsize=8)
 def block_correlation(n: int, q: int, rho: float) -> CrossCorrelation:
-    """Block-diagonal correlation: n/q independent clusters of size q, off-diagonal rho."""
+    """Block-diagonal correlation: n/q independent clusters of size q, off-diagonal rho.
+    Memoized, as each trial of a run asks for it: matrix and factor are read-only."""
     if n < 1 or q < 1:
         raise ValueError("n and q must be positive")
     if n % q != 0:
@@ -207,6 +212,7 @@ def block_correlation(n: int, q: int, rho: float) -> CrossCorrelation:
     block = np.full((q, q), rho)
     np.fill_diagonal(block, 1.0)
     matrix = np.kron(np.eye(n // q), block)
+    matrix.flags.writeable = False
     return CrossCorrelation(size=n, matrix=matrix)
 
 

@@ -6,7 +6,8 @@ SeedSequence(master_seed, spawn_key=(trial_index,)), simulates the solutions
 once, and evaluates the estimator on path prefixes 1..N. This prefix reuse
 makes the per-trial trajectory N -> estimate a function of a single simulation,
 and keeps every trial deterministic in (config, trial_index) regardless of how
-trials are scheduled across workers.
+trials are scheduled across workers. Chunks of consecutive trials are solved
+together, which changes no trial's numbers.
 """
 
 from __future__ import annotations
@@ -207,27 +208,32 @@ def estimate(config: ExperimentConfig, cache: FbmEstimatorCache | BmEstimatorCac
     return cache.estimate(n, **_settings(config))
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
-    """One deterministic trial: simulate once, estimate on each prefix size."""
-    rng = trial_rng(config, trial_index)
-    points = config.points
-    if config.fresh_paths_per_n:
-        rows = np.concatenate([estimator_cache(config, simulate_bundle(config, rng, n))
-                               .estimates((n,), **_settings(config)) for n in points])
-    else:
-        # All n_max paths are drawn, so the rng stream does not depend on the
-        # eval points; the cache needs only the largest prefix.
-        bundle = simulate_bundle(config, rng, config.n_max)
-        cache = estimator_cache(config, replace(bundle, values=bundle.values[:points[-1]]))
-        rows = cache.estimates(points, **_settings(config))
+def _run_chunk(config: ExperimentConfig, indices: range) -> list[TrialResult]:
+    """Consecutive deterministic trials, each simulated from its own rng, solved
+    together: one `solve` call per bundle size."""
+    points, fresh = config.points, config.fresh_paths_per_n
+    # One bundle per trial serves every eval point (all n_max paths are drawn, so the
+    # rng stream does not depend on them), or with fresh paths one bundle per point.
+    sizes = [(n,) for n in points] if fresh else [points]
+    bundles = [[simulate_bundle(config, rng, ns[-1] if fresh else config.n_max) for ns in sizes]
+               for rng in (trial_rng(config, i) for i in indices)]
+    caches = [[estimator_cache(config, replace(b, values=b.values[:ns[-1]]))
+               for b, ns in zip(trial, sizes)] for trial in bundles]
+    rows = np.concatenate([type(group[0]).solve(group, ns, **_settings(config))
+                           for group, ns in zip(zip(*caches), sizes)], axis=1)
     # R_N and the residual are NaN in bm mode, where no fixed point is solved.
     nan = np.full(len(points), np.nan)
     fbm = config.mode == "fbm"
-    return TrialResult(trial_index=trial_index, ns=np.asarray(points, dtype=int),
-                       estimates=rows["estimate"], aci_lower=rows["aci_lower"],
-                       aci_upper=rows["aci_upper"], omega=rows["omega"], d_stats=rows["d_n"],
-                       r_n=rows["r_n"] if fbm else nan,
-                       residuals=rows["residual"] if fbm else nan)
+    return [TrialResult(trial_index=i, ns=np.asarray(points, dtype=int),
+                        estimates=row["estimate"], aci_lower=row["aci_lower"],
+                        aci_upper=row["aci_upper"], omega=row["omega"], d_stats=row["d_n"],
+                        r_n=row["r_n"] if fbm else nan, residuals=row["residual"] if fbm else nan)
+            for i, row in zip(indices, rows)]
+
+
+def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
+    """One deterministic trial: simulate once, estimate on each prefix size."""
+    return _run_chunk(config, range(trial_index, trial_index + 1))[0]
 
 
 def default_workers() -> int:
@@ -288,21 +294,32 @@ def _one_blas_thread():
         set_(previous)
 
 
+# Path nodes a chunk of trials may simulate, n_max * (steps + 1) per trial (the
+# sum over the eval points with fresh paths): enough trials to pay numpy's fixed
+# costs once per chunk, few enough that the chunk's caches stay small.
+_CHUNK_NODES = 2**17
+
+
 def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
-    """All replications, aggregated in trial-index order regardless of workers."""
-    indices = range(config.replications)
-    if workers <= 1 or config.replications == 1:
-        return [run_trial(config, i) for i in indices]
+    """All replications, aggregated in trial-index order regardless of workers.
+    Chunks of consecutive trials are the unit of work, serially and in the pool."""
+    reps, workers = config.replications, min(workers, config.replications)
+    nodes = sum(config.points if config.fresh_paths_per_n else (config.n_max,))
+    size = max(1, _CHUNK_NODES // (nodes * (config.steps + 1)))
+    if workers > 1:
+        size = min(size, math.ceil(reps / (4 * workers)))
+    chunks = [range(i, min(i + size, reps)) for i in range(0, reps, size)]
+    run = partial(_run_chunk, config)
+    if workers <= 1:
+        return [t for chunk in map(run, chunks) for t in chunk]
     from concurrent.futures import ProcessPoolExecutor
 
     # Forked workers inherit the parent's modules: importing numpy.random once
     # here spares each of them that import on its first trial.
     import numpy.random  # noqa: F401
-    workers = min(workers, config.replications)
-    chunksize = math.ceil(config.replications / (4 * workers))
     with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves input order, so aggregation order is fixed.
-        return list(pool.map(partial(run_trial, config), indices, chunksize=chunksize))
+        return [t for chunk in pool.map(run, chunks) for t in chunk]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryReport, list[TrialResult]]:

@@ -690,3 +690,83 @@ def test_picard_counts_pinned(case):
         rows = montecarlo.estimator_cache(cfg, bundle).estimates(cfg.points)
         counts += np.where(np.isnan(rows["r_n"]), -1, rows["iterations"]).tolist()
     assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# A chunk of caches in one stacked solve.
+# ---------------------------------------------------------------------------
+
+def chunk_caches():
+    """Five model2 caches of 40 paths: three with Taylor tables, one whose
+    last path jumps to 2000 (I of the full bundle is about -3100, so the
+    factors e^{+-s0 C} overflow and there is no table, while the proper
+    prefixes are those of the first cache), and one with D_N = 0 throughout.
+    With theta0 = 0.2, I_N is small enough that a table would serve the
+    first Picard steps."""
+    drift, hurst = drift_model("model2"), HurstParams(h=0.7)
+    bundles = [solution_bundle(model="model2", h=0.7, theta0=0.2, n=40, seed=seed)
+               for seed in range(3)]
+    jump = bundles[0].values.copy()
+    jump[-1] = 0.0
+    jump[-1, -1] = 2000.0
+    bundles.append(PathBundle(grid=bundles[0].grid, values=jump, kind="solution"))
+    bundles.append(PathBundle(grid=bundles[0].grid, values=np.zeros_like(jump),
+                              kind="solution"))
+    return [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
+
+
+@pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40), (5, 39)])
+def test_stacked_solve_matches_each_cache(points):
+    settings = dict(c=0.5, d_threshold=2.0, alpha=0.1, tol=1e-12)
+    rows = FbmEstimatorCache.solve(chunk_caches(), points, **settings)
+    alone = [cache.estimates(points, **settings) for cache in chunk_caches()]
+    assert rows.shape == (5, len(points))
+    for t in range(5):
+        assert rows[t].tobytes() == alone[t].tobytes()
+    # The jumping cache has no table: every Picard step of each of its
+    # prefixes is the exact sum of that prefix.
+    caches = chunk_caches()
+    FbmEstimatorCache.solve(caches, points)
+    assert [cache._taylor is None for cache in caches] == [False, False, False, True, True]
+    jump = caches[3]
+    for m, row in zip(points, rows[3]):
+        if m < 40:
+            limit = iteration_schedule(m, 0.5, jump.t_total, 1.0, jump.hurst)
+            r, iterations, residual = fixed_point(jump._phi_exact(m, jump.stats(m)), limit,
+                                                  1e-12)
+            assert (row["r_n"], row["iterations"], row["residual"]) == (r, iterations, residual)
+    assert np.isnan(rows["estimate"][4]).all() and not rows["omega"][4].any()
+
+
+def test_stacked_bm_solve_matches_each_cache():
+    bundles = [solution_bundle(h=0.5, n=25, seed=seed) for seed in range(4)]
+    caches = [BmEstimatorCache(b, drift_model("model2"), sigma=1.0) for b in bundles]
+    rows = BmEstimatorCache.solve(caches, range(1, 26), d_threshold=3.0, alpha=0.1)
+    for t, cache in enumerate(caches):
+        assert rows[t].tobytes() == cache.estimates(range(1, 26), d_threshold=3.0,
+                                                    alpha=0.1).tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 8, 9, 129, 200])
+def test_stacked_prefix_sums_match_each_cache(n_max):
+    # Pairwise summation switches blocking at 8 and 128 terms.
+    rng = np.random.default_rng(n_max)
+    per_path = [rng.standard_normal((3, n_max)) * 1e3 for _ in range(4)]
+    ns = np.arange(1, n_max + 1)
+    stacked = _prefix_sums(np.stack(per_path, axis=1), ns)
+    assert stacked.shape == (3, 4, n_max)
+    for t, one in enumerate(per_path):
+        assert stacked[:, t].tolist() == _prefix_sums(one, ns).tolist()
+        assert stacked[:, t, -1].tolist() == one.sum(axis=1).tolist()
+
+
+def test_stacked_solve_rejects_mixed_caches():
+    drift, hurst = drift_model("model2"), HurstParams(h=0.7)
+    fbm = lambda **kw: FbmEstimatorCache(solution_bundle(h=0.7, **kw), drift, hurst, 1.0)
+    with pytest.raises(ValueError, match="n_paths"):
+        FbmEstimatorCache.solve([fbm(n=5), fbm(n=6)], [2])
+    with pytest.raises(ValueError, match="grid"):
+        FbmEstimatorCache.solve([fbm(n=5), fbm(n=5, steps=10)], [2])
+    bm = lambda n: BmEstimatorCache(solution_bundle(h=0.5, n=n), drift, sigma=1.0)
+    with pytest.raises(ValueError, match="n_paths"):
+        BmEstimatorCache.solve([bm(5), bm(6)], [2])

@@ -248,3 +248,60 @@ def test_trial_permutation_invariance(perm_seed):
     straight = {i: run_trial(cfg, i) for i in range(4)}
     for i in range(4):
         assert np.array_equal(shuffled[i].estimates, straight[i].estimates)
+
+
+# fbm on every prefix, a few eval points with Omega_N enforced, fresh paths
+# per N, and bm; seven trials leave a partial last chunk of three.
+CHUNK_CONFIGS = {
+    "fbm-prefixes": dict(n_max=10),
+    "eval-points-omega": dict(n_max=40, eval_points=(3, 17, 40), enforce_omega=True),
+    "fresh-paths": dict(n_max=6, fresh_paths_per_n=True),
+    "bm": dict(hurst=0.5, mode="bm", n_max=20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CONFIGS))
+def test_chunk_size_does_not_change_results(monkeypatch, case):
+    cfg = model2_config(replications=7, **CHUNK_CONFIGS[case])
+    nodes = sum(cfg.points if cfg.fresh_paths_per_n else (cfg.n_max,)) * (cfg.steps + 1)
+    runs = []
+    for trials_per_chunk in (1, 3, cfg.replications):
+        monkeypatch.setattr(montecarlo, "_CHUNK_NODES", trials_per_chunk * nodes)
+        runs.append(run_trials(cfg))
+    fields = ("ns", "estimates", "aci_lower", "aci_upper", "omega", "d_stats", "r_n",
+              "residuals")
+    for one, three, whole in zip(*runs):
+        assert one.trial_index == three.trial_index == whole.trial_index
+        for name in fields:
+            want = getattr(one, name).tobytes()
+            assert getattr(three, name).tobytes() == want == getattr(whole, name).tobytes()
+    assert [t.trial_index for t in runs[0]] == list(range(7))
+    assert runs[0][0].estimates.tobytes() == run_trial(cfg, 0).estimates.tobytes()
+    assert runs[0][0].estimates.tobytes() != runs[0][1].estimates.tobytes()
+
+
+def test_correlated_run_factors_the_cross_matrix_once(monkeypatch):
+    from fpdrift import fbm
+
+    real = fbm._cholesky_psd
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(fbm, "_cholesky_psd", counting)
+    fbm.block_correlation.cache_clear()
+    cfg = model2_config(n_max=12, corr_block=2, corr_rho=0.5, replications=5)
+    run_trials(cfg)
+    assert shapes.count((12, 12)) == 1
+    corr = fbm.block_correlation(12, 2, 0.5)
+    assert not corr.matrix.flags.writeable and not corr.factor.flags.writeable
+    # The bundle is the cross factor applied to the time-correlated draw.
+    grid, hurst = cfg.grid(), cfg.hurst_params()
+    bundle = fbm.sample_fbm_bundle(hurst, grid, corr, np.random.default_rng(9))
+    z = np.random.default_rng(9).standard_normal((12, grid.steps))
+    want = real(np.asarray(corr.matrix)) @ (z @ fbm._time_factor(hurst, grid).T)
+    assert np.array_equal(bundle.values[:, 1:], want)
+    assert shapes.count((12, 12)) == 1  # sampling reuses the validated factor
+    fbm.block_correlation.cache_clear()
