@@ -9,6 +9,7 @@ nothing but the configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -273,7 +274,9 @@ def cmd_coverage(cfg: RunConfig, workers: int) -> int:
 # Argument parsing and dispatch.
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fpdrift",
         description="Drift parameter estimation for (fractional) SDEs "
@@ -295,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"master seed (default: ${SEED_ENV_VAR} if set, else config)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--workers", type=int, default=default_workers(),
+        p.add_argument("--workers", type=int, default=None,
                        help="parallel trial workers (default: the CPUs this process "
                             "may use); results do not depend on it")
         if name == "estimate":
@@ -312,8 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
+        workers = default_workers() if args.workers is None else args.workers
+        if workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {workers}")
         seed = args.seed
         if seed is None and SEED_ENV_VAR in os.environ:
             try:
@@ -327,11 +331,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "estimate":
             return cmd_estimate(cfg, args.input)
         if args.command == "experiment":
-            return cmd_experiment(cfg, args.workers)
+            return cmd_experiment(cfg, workers)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.workers, args.grid, args.n_fixed)
+            return cmd_sweep(cfg, workers, args.grid, args.n_fixed)
         if args.command == "coverage":
-            return cmd_coverage(cfg, args.workers)
+            return cmd_coverage(cfg, workers)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,8 @@ prefix n < N is served from a Taylor table of Phi_N about s0 = I of the full
 bundle: K = 10 moments per path, prefix-summed, built once per cache at the
 cost of about K exact evaluations. A Picard step is then a degree-K Horner
 evaluation, O(K) whatever N and steps are. The table value is used only when a
-bound on its Taylor remainder and rounding is below 1e-13 of it; otherwise,
-and always on the full bundle, the exact sum of that prefix alone is evaluated.
+bound on its Taylor remainder and rounding is below 1e-13 of it; otherwise, and
+always on the full bundle, the exact sum is: one call per N and step, a gemm per pair.
 """
 
 from __future__ import annotations
@@ -205,10 +205,18 @@ _EPS = float(np.finfo(float).eps)
 _TAYLOR_Y_MAX = (_TAYLOR_RTOL * math.factorial(_TAYLOR_ORDER)) ** (1.0 / _TAYLOR_ORDER)
 
 
-def _phi_factorized(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> float:
-    """sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j over paths whose factors
-    e^{+-sC_i} stay in the float range."""
-    return float(np.vdot(bp * np.exp(s * c[:, 1:]), np.exp(-s * c[:, :-1]) @ tri.T))
+def _phi_factorized(s: np.ndarray, bp: np.ndarray, c: np.ndarray, tri: np.ndarray,
+                    work: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j for each p at s[p], over (P, n, steps)
+    bp and (P, n, steps + 1) c whose factors e^{+-sC_i} stay in the float range: one gemm
+    and one dot per p, the bits of p alone. Temporaries go to the flat buffers in work."""
+    a, q = (w[:bp.size].reshape(bp.shape) for w in work or (np.empty(bp.size), np.empty(bp.size)))
+    flat, s = (len(s), bp.shape[1] * bp.shape[2]), s[:, None, None]
+    np.exp(np.multiply(-s, c[..., :-1], out=a), out=a)
+    np.matmul(a, tri.T, out=q)
+    np.exp(np.multiply(s, c[..., 1:], out=a), out=a)
+    a *= bp
+    return (a.reshape(flat)[:, None] @ q.reshape(flat)[..., None]).reshape(-1)
 
 
 def _phi_direct(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> float:
@@ -430,9 +438,10 @@ class FbmEstimatorCache:
         """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
         (k, r): its cache's Taylor table where the error bound holds, else the
         exact sum of that prefix alone."""
-        n_paths = caches[0].paths.n_paths
+        n_paths, tri = caches[0].paths.n_paths, caches[0]._tri
         trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
         scale = caches[0]._scale(n, stats.d_n)
+        table_row = trial * n_paths + n - 1
         proper = bool((ns < n_paths).any())
         if proper:
             # The tables end to end; a cache without one gets NaN centres, so no
@@ -441,8 +450,10 @@ class FbmEstimatorCache:
                                         np.zeros(n_paths)) for cache in caches]
             s0, moments, weights = (np.concatenate(a) for a in zip(*(
                 (np.full(n_paths, s), m, w) for s, m, w in tables)))
-            reach = np.concatenate([cache._c_reach for cache in caches])
-            table_row = trial * n_paths + n - 1
+        # Stacked arrays and buffers for one exact call per prefix size and step.
+        bp, c = (np.stack([getattr(cache, a) for cache in caches]) for a in ("_bp", "_c"))
+        reach = np.concatenate([cache._c_reach for cache in caches])
+        work = [np.empty(bp.size), np.empty(bp.size)]
 
         def phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
             values = np.full(len(k), np.nan)
@@ -461,10 +472,19 @@ class FbmEstimatorCache:
                                                      + _TAYLOR_ORDER * _EPS)
                 values[served] = np.where(bound <= _TAYLOR_RTOL * np.abs(v),
                                           scale[k[served]] * v, np.nan)
-            for j in np.flatnonzero(np.isnan(values)).tolist():
-                e = k[j]
-                prefix = SufficientStats(*(float(a[e]) for a in (stats.d_n, stats.i_n, stats.m_n)))
-                values[j] = caches[trial[e]]._phi_exact(int(n[e]), prefix)(float(r[j]))
+            exact = np.flatnonzero(np.isnan(values))
+            for m in np.unique(n[k[exact]]).tolist():
+                j = exact[n[k[exact]] == m]
+                e, s = k[j], r[j] + stats.i_n[k[j]]
+                # As in `_phi_exact`: one factorized sum where no factor can overflow.
+                fit = 0.5 * np.abs(s) * reach[table_row[e]] <= _MAX_FACTOR_EXPONENT
+                # All caches in turn (k ascends), as on most steps: no gathered copy.
+                t = trial[e[fit]] if fit.sum() < len(caches) else slice(None)
+                values[j[fit]] = scale[e[fit]] * _phi_factorized(s[fit], bp[t, :m], c[t, :m],
+                                                                 tri, work)
+                for jj, ee in zip(j[~fit], e[~fit]):
+                    prefix = SufficientStats(stats.d_n[ee], stats.i_n[ee], stats.m_n[ee])
+                    values[jj] = caches[trial[ee]]._phi_exact(m, prefix)(r[jj])
             return values
 
         return phi
@@ -476,7 +496,6 @@ class FbmEstimatorCache:
         pair by pair instead; the result is the same sum either way.
         """
         bp, c, span, tri = self._bp[:n], self._c[:n], self._c_span[:n], self._tri
-        span_max = float(self._c_reach[n - 1])
         scale = self._scale(n, stats.d_n)
         i_n = stats.i_n
 
@@ -484,11 +503,11 @@ class FbmEstimatorCache:
             s = r + i_n
             # An overflow surfaces as a non-finite value, which fixed_point reports.
             with np.errstate(all="ignore"):
-                if 0.5 * abs(s) * span_max <= _MAX_FACTOR_EXPONENT:
-                    return scale * _phi_factorized(s, bp, c, tri)
                 direct = 0.5 * abs(s) * span > _MAX_FACTOR_EXPONENT
-                total = sum(_phi_direct(s, bp[i], c[i], tri) for i in np.flatnonzero(direct))
-                return scale * (total + _phi_factorized(s, bp[~direct], c[~direct], tri))
+                # From -0.0, so that with no direct path the sum is the factorized one.
+                total = sum((_phi_direct(s, bp[i], c[i], tri) for i in np.flatnonzero(direct)), -0.0)
+                rest = _phi_factorized(np.array([s]), bp[None, ~direct], c[None, ~direct], tri)
+                return scale * (total + float(rest[0]))
 
         return _phi
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -181,6 +182,26 @@ def _time_factor(hurst: HurstParams, grid: Grid) -> np.ndarray:
     return factor
 
 
+def sample_fbm_bundles(hurst: HurstParams, grid: Grid, corrs: Sequence[CrossCorrelation],
+                       rngs: Sequence[np.random.Generator]) -> PathBundle:
+    """One bundle of every rng's draws, corr by corr: rows t*n..(t+1)*n - 1 of the block
+    of corr (n = corr.size) are, bit for bit, those `sample_fbm_bundle(hurst, grid, corr,
+    rngs[t])` would draw next, as a 3-D matmul makes one gemm per rng."""
+    l_time = _time_factor(hurst, grid)
+    ends = np.cumsum([len(rngs) * corr.size for corr in corrs]).tolist()
+    values = np.zeros((ends[-1], grid.steps + 1))
+    for corr, block in zip(corrs, np.split(values, ends[:-1])):
+        z = np.empty((len(rngs), corr.size, grid.steps))
+        for rng, draw in zip(rngs, z):
+            rng.standard_normal(out=draw)
+        out = block.reshape(z.shape[:2] + (-1,))[..., 1:]
+        if corr.is_identity:
+            np.matmul(z, l_time.T, out=out)
+        else:
+            np.matmul(corr.factor, z @ l_time.T, out=out)
+    return PathBundle(grid=grid, values=values, kind="noise")
+
+
 def sample_fbm_bundle(
     hurst: HurstParams,
     grid: Grid,
@@ -188,19 +209,13 @@ def sample_fbm_bundle(
     rng: np.random.Generator,
 ) -> PathBundle:
     """Draw an exact Gaussian bundle with Cov(B^i_s, B^k_t) = R_ik * R_H(s, t)."""
-    l_time = _time_factor(hurst, grid)
-    z = rng.standard_normal((corr.size, grid.steps))
-    paths = z @ l_time.T
-    if not corr.is_identity:
-        paths = corr.factor @ paths
-    values = np.hstack([np.zeros((corr.size, 1)), paths])
-    return PathBundle(grid=grid, values=values, kind="noise")
+    return sample_fbm_bundles(hurst, grid, (corr,), (rng,))
 
 
 @functools.lru_cache(maxsize=8)
 def block_correlation(n: int, q: int, rho: float) -> CrossCorrelation:
     """Block-diagonal correlation: n/q independent clusters of size q, off-diagonal rho.
-    Memoized, as each trial of a run asks for it: matrix and factor are read-only."""
+    Memoized, as each chunk of a run asks for it: matrix and factor are read-only."""
     if n < 1 or q < 1:
         raise ValueError("n and q must be positive")
     if n % q != 0:

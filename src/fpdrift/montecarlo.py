@@ -6,8 +6,8 @@ SeedSequence(master_seed, spawn_key=(trial_index,)), simulates the solutions
 once, and evaluates the estimator on path prefixes 1..N. This prefix reuse
 makes the per-trial trajectory N -> estimate a function of a single simulation,
 and keeps every trial deterministic in (config, trial_index) regardless of how
-trials are scheduled across workers. Chunks of consecutive trials are solved
-together, which changes no trial's numbers.
+trials are scheduled across workers. A chunk of consecutive trials is sampled,
+simulated and solved as arrays, one gemm per trial, which changes no trial's numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .fbm import Grid, HurstParams, PathBundle, block_correlation, sample_fbm_bundle
+from .fbm import Grid, HurstParams, PathBundle, block_correlation, sample_fbm_bundles
 from .sde import DriftModel, SdeSpec, drift_model, euler_additive
 from .estimators import (DEFAULT_TOL, BmEstimatorCache, EstimateBM, EstimateFBM,
                          FbmEstimatorCache)
@@ -173,15 +173,21 @@ def trial_rng(config: ExperimentConfig, trial_index: int) -> np.random.Generator
     )
 
 
-def simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int) -> PathBundle:
-    """Euler solutions of n copies driven by one fBm draw from rng."""
-    grid = config.grid()
-    hurst = config.hurst_params()
-    corr = block_correlation(n, config.corr_block, config.corr_rho)
-    noise = sample_fbm_bundle(hurst, grid, corr, rng)
+def simulate_bundles(config: ExperimentConfig, rngs: Sequence[np.random.Generator],
+                     sizes: Sequence[int]) -> PathBundle:
+    """One bundle of Euler solutions, size by size: rows t*n..(t+1)*n - 1 of the block
+    of size n are the bits `simulate_bundle(config, rngs[t], n)` would give next."""
+    grid, hurst = config.grid(), config.hurst_params()
+    corrs = [block_correlation(n, config.corr_block, config.corr_rho) for n in sizes]
+    noise = sample_fbm_bundles(hurst, grid, corrs, rngs)
     spec = SdeSpec(x0=config.x0, theta0=config.theta0, sigma=config.sigma,
                    drift=config.drift(), hurst=hurst, grid=grid)
     return euler_additive(spec, noise)
+
+
+def simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int) -> PathBundle:
+    """Euler solutions of n copies driven by one fBm draw from rng."""
+    return simulate_bundles(config, (rng,), (n,))
 
 
 def estimator_cache(config: ExperimentConfig,
@@ -209,26 +215,30 @@ def estimate(config: ExperimentConfig, cache: FbmEstimatorCache | BmEstimatorCac
 
 
 def _run_chunk(config: ExperimentConfig, indices: range) -> list[TrialResult]:
-    """Consecutive deterministic trials, each simulated from its own rng, solved
-    together: one `solve` call per bundle size."""
+    """Consecutive deterministic trials, each drawn from its own rng, simulated in
+    one bundle and solved together: one `solve` call per bundle size."""
     points, fresh = config.points, config.fresh_paths_per_n
     # One bundle per trial serves every eval point (all n_max paths are drawn, so the
     # rng stream does not depend on them), or with fresh paths one bundle per point.
     sizes = [(n,) for n in points] if fresh else [points]
-    bundles = [[simulate_bundle(config, rng, ns[-1] if fresh else config.n_max) for ns in sizes]
-               for rng in (trial_rng(config, i) for i in indices)]
-    caches = [[estimator_cache(config, replace(b, values=b.values[:ns[-1]]))
-               for b, ns in zip(trial, sizes)] for trial in bundles]
+    lengths = [ns[-1] if fresh else config.n_max for ns in sizes]
+    paths = simulate_bundles(config, [trial_rng(config, i) for i in indices], lengths)
+    # Each trial's bundle is m rows of its size's block; its cache takes the first ns[-1].
+    starts = (np.cumsum([0, *lengths]) * len(indices)).tolist()
+    groups = [[estimator_cache(config, replace(paths, values=paths.values[a:a + ns[-1]]))
+               for a in range(start, stop, m)]
+              for ns, m, start, stop in zip(sizes, lengths, starts, starts[1:])]
     rows = np.concatenate([type(group[0]).solve(group, ns, **_settings(config))
-                           for group, ns in zip(zip(*caches), sizes)], axis=1)
+                           for group, ns in zip(groups, sizes)], axis=1)
+    # One copy of each field read, so that no trial keeps the solve's others alive.
     # R_N and the residual are NaN in bm mode, where no fixed point is solved.
-    nan = np.full(len(points), np.nan)
-    fbm = config.mode == "fbm"
-    return [TrialResult(trial_index=i, ns=np.asarray(points, dtype=int),
-                        estimates=row["estimate"], aci_lower=row["aci_lower"],
-                        aci_upper=row["aci_upper"], omega=row["omega"], d_stats=row["d_n"],
-                        r_n=row["r_n"] if fbm else nan, residuals=row["residual"] if fbm else nan)
-            for i, row in zip(indices, rows)]
+    fields = dict(estimates="estimate", aci_lower="aci_lower", aci_upper="aci_upper",
+                  omega="omega", d_stats="d_n", r_n="r_n", residuals="residual")
+    nan, evaluated = np.full(rows.shape, np.nan), np.asarray(points, dtype=int)
+    cols = {key: rows[name].copy() if name in rows.dtype.names else nan
+            for key, name in fields.items()}
+    return [TrialResult(trial_index=i, ns=evaluated, **{key: col[t] for key, col in cols.items()})
+            for t, i in enumerate(indices)]
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:

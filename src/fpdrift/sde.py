@@ -169,18 +169,20 @@ def euler_additive(spec: SdeSpec, noise: PathBundle) -> PathBundle:
     # 0-d arrays spare each step's ufuncs the conversion of a Python float.
     theta0, dt = np.array(spec.theta0), np.array(spec.grid.mesh)
     # Time-major state, so each step reads and writes contiguous rows in place.
+    # Row j + 1 holds sigma (B_{j+1} - B_j) until step j adds X_j + theta0 b(X_j) dt to it.
     x = np.empty((spec.grid.steps + 1, noise.n_paths))
     x[0] = spec.x0
     # Overflow is reported once, as DivergenceError, instead of as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        sdb = np.multiply(spec.sigma, np.diff(noise.values, axis=1).T, order="C")
-        for xj, xnext, sdbj in zip(x[:-1], x[1:], sdb):
+        np.subtract(noise.values[:, 1:].T, noise.values[:, :-1].T, out=x[1:])
+        x[1:] *= spec.sigma
+        for xj, xnext in zip(x[:-1], x[1:]):
             # A fresh product before the in-place scaling, so a drift that
             # returns its argument cannot alias the state.
             d = theta0 * b(xj)
             d *= dt
-            np.add(xj, d, out=xnext)
-            xnext += sdbj
+            d += xj
+            xnext += d
     if not np.all(np.isfinite(x)):
         raise DivergenceError("the Euler scheme produced non-finite values; "
                               "the drift explodes on this horizon")

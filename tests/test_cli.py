@@ -101,6 +101,35 @@ def test_cli_import_loads_no_pool_yaml_or_random():
     assert out.strip() == "[]"
 
 
+
+def test_in_process_calls_reuse_the_parser(tmp_path, monkeypatch):
+    # Two in-process calls on the one cached parser write what two fresh
+    # interpreters write, and the --workers default is resolved on each call.
+    from fpdrift import cli
+
+    calls = [["experiment", "--set", "model=model2", "--set", "H=0.7", "--set", "n_max=6",
+              "--set", "replications=3", "--seed", "4", "--format", "json", "--workers", "2"],
+             ["coverage", "--set", "model=model1", "--set", "H=0.8", "--set", "n_max=5",
+              "--set", "replications=2", "--seed", "9", "--workers", "1"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(fpdrift.__file__).parents[1]))
+    for k, argv in enumerate(calls):
+        assert main([*argv, "--out", str(tmp_path / f"in{k}")]) == 0
+        subprocess.run([sys.executable, "-m", "fpdrift.cli", *argv,
+                        "--out", str(tmp_path / f"fresh{k}")], env=env, check=True)
+    for k in range(len(calls)):
+        files = sorted(p.name for p in (tmp_path / f"fresh{k}").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / f"in{k}").iterdir()) and files
+        for name in files:
+            assert ((tmp_path / f"in{k}" / name).read_bytes()
+                    == (tmp_path / f"fresh{k}" / name).read_bytes())
+    assert cli._build_parser() is cli._build_parser()
+    asked = []
+    monkeypatch.setattr(cli, "default_workers", lambda: asked.append(1) or 1)
+    for k in range(2):
+        assert main([*calls[1][:-2], "--out", str(tmp_path / f"default{k}")]) == 0
+    assert len(asked) == 2
+
+
 def test_parse_grid():
     grid = _parse_grid("0.5:0.1:31")
     assert len(grid) == 31

@@ -738,6 +738,64 @@ def test_stacked_solve_matches_each_cache(points):
     assert np.isnan(rows["estimate"][4]).all() and not rows["omega"][4].any()
 
 
+
+def exact_sum_caches():
+    """Four model2 caches of 40 paths whose Picard steps take the exact sum in
+    every way: two plain ones (the full bundle), one whose last path jumps to
+    100 (I of the full bundle is about -7.6, so the table exists but fails its
+    bound on every proper prefix), and one whose last path jumps to 2000 (no
+    table, and the full bundle's factors e^{+-sC} overflow: the direct sum)."""
+    drift, hurst = drift_model("model2"), HurstParams(h=0.7)
+    bundles = [solution_bundle(model="model2", h=0.7, theta0=0.2, n=40, seed=seed)
+               for seed in range(2)]
+    for top in (100.0, 2000.0):
+        jump = bundles[0].values.copy()
+        jump[-1] = 0.0
+        jump[-1, -1] = top
+        bundles.append(PathBundle(grid=bundles[0].grid, values=jump, kind="solution"))
+    return [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
+
+
+def factorized_oracle(cache, n, stats, r):
+    """Phi_N as one 2-D exp, gemm and vdot over the first n paths."""
+    s = r + stats.i_n
+    bp, c = cache._bp[:n], cache._c[:n]
+    total = np.vdot(bp * np.exp(s * c[:, 1:]), np.exp(-s * c[:, :-1]) @ cache._tri.T)
+    return cache._scale(n, stats.d_n) * float(total)
+
+
+@pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40)])
+def test_stacked_exact_sum_matches_each_cache(points):
+    from fpdrift.estimators import _MAX_FACTOR_EXPONENT
+
+    settings = dict(c=0.5, d_threshold=2.0, alpha=0.1, tol=1e-12)
+    rows = FbmEstimatorCache.solve(exact_sum_caches(), points, **settings)
+    for t, cache in enumerate(exact_sum_caches()):
+        assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
+    # Only the full overflow-prone bundle's iterate diverges.
+    assert np.flatnonzero(np.isnan(rows["estimate"])).tolist() == [rows.size - 1]
+    caches = exact_sum_caches()
+    ns = np.array(points)
+    stats, _ = FbmEstimatorCache._pair_stats(caches, ns)
+    phi = FbmEstimatorCache._phi_pairs(caches, ns, stats)
+    full, fallback, overflow = caches[0], caches[2], caches[3]
+    assert fallback._taylor is not None and overflow._taylor is None
+    assert 0.5 * abs(overflow.stats().i_n) * overflow._c_reach[-1] > _MAX_FACTOR_EXPONENT
+    # Every pair the table cannot serve, at two iterates: the stacked sum is the
+    # 2-D one bit for bit, and `_phi_exact`'s where a factor would overflow.
+    k = np.arange(len(caches) * len(ns))
+    for r in (0.0, 0.3):
+        values = phi(k, np.full(len(k), r))
+        for (t, m), value in zip(np.ndindex(len(caches), len(ns)), values.tolist()):
+            n, cache = int(ns[m]), caches[t]
+            if n < 40 and cache in (full, caches[1]):
+                continue  # served by the table
+            prefix = cache.stats(n)
+            assert value == cache._phi_exact(n, prefix)(r)
+            if cache is not overflow or n < 40:
+                assert value == factorized_oracle(cache, n, prefix, r)
+
+
 def test_stacked_bm_solve_matches_each_cache():
     bundles = [solution_bundle(h=0.5, n=25, seed=seed) for seed in range(4)]
     caches = [BmEstimatorCache(b, drift_model("model2"), sigma=1.0) for b in bundles]

@@ -257,6 +257,11 @@ CHUNK_CONFIGS = {
     "eval-points-omega": dict(n_max=40, eval_points=(3, 17, 40), enforce_omega=True),
     "fresh-paths": dict(n_max=6, fresh_paths_per_n=True),
     "bm": dict(hurst=0.5, mode="bm", n_max=20),
+    "model1-steps400": dict(model="model1", horizon=0.1, sigma=0.25, steps=400, n_max=6),
+    "fresh-paths-corr": dict(n_max=8, eval_points=(2, 4, 6, 8), fresh_paths_per_n=True,
+                             corr_block=2, corr_rho=0.5),
+    # Trial 5 has NaN rows, where the iterates of the sign-changing drift diverge.
+    "custom-nan-rows": dict(model="custom:-1,0,1,0", hurst=0.7, horizon=1.0, x0=0.0, n_max=20),
 }
 
 
@@ -305,3 +310,63 @@ def test_correlated_run_factors_the_cross_matrix_once(monkeypatch):
     assert np.array_equal(bundle.values[:, 1:], want)
     assert shapes.count((12, 12)) == 1  # sampling reuses the validated factor
     fbm.block_correlation.cache_clear()
+
+
+SIMULATION_CONFIGS = {
+    "model1-steps400": dict(model="model1", horizon=0.1, sigma=0.25, steps=400),
+    "corr-block": dict(n_max=8, corr_block=2, corr_rho=0.5),
+    "custom": dict(model="custom:-1,0,1,0", hurst=0.7, horizon=1.0, x0=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATION_CONFIGS))
+def test_simulate_bundle_is_its_trials_block_of_a_chunk(case):
+    cfg = model2_config(**SIMULATION_CONFIGS[case])
+    sizes = (8, 4, 2)
+    chunk = montecarlo.simulate_bundles(cfg, [montecarlo.trial_rng(cfg, i) for i in range(3)],
+                                        sizes)
+    assert chunk.values.shape == (3 * sum(sizes), cfg.steps + 1)
+    start = 0
+    for n in sizes:  # size by size, and within a size trial by trial
+        for i in range(3):
+            rng = montecarlo.trial_rng(cfg, i)
+            for m in sizes[:sizes.index(n)]:  # the draws of the earlier sizes
+                montecarlo.simulate_bundle(cfg, rng, m)
+            one = montecarlo.simulate_bundle(cfg, rng, n)
+            assert one.values.tobytes() == chunk.values[start:start + n].tobytes()
+            start += n
+
+
+def test_fresh_correlated_run_factors_each_size_once_per_chunk(monkeypatch):
+    from fpdrift import fbm
+
+    real = fbm._cholesky_psd
+    sizes = []
+
+    def counting(a, *args, **kwargs):
+        if np.array_equal(np.diag(a), np.ones(len(a))):  # a cross correlation matrix
+            sizes.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(fbm, "_cholesky_psd", counting)
+    points = tuple(range(2, 41, 2))  # 20 bundle sizes, more than block_correlation caches
+    cfg = model2_config(n_max=40, eval_points=points, fresh_paths_per_n=True, corr_block=2,
+                        corr_rho=0.5, replications=10)
+    nodes = sum(points) * (cfg.steps + 1)
+    for per_chunk, chunks in ((cfg.replications, 1), (3, 4)):
+        fbm.block_correlation.cache_clear()
+        sizes.clear()
+        monkeypatch.setattr(montecarlo, "_CHUNK_NODES", per_chunk * nodes)
+        run_trials(cfg)
+        assert sorted(set(sizes)) == list(points)
+        assert all(sizes.count(n) <= chunks for n in points)
+
+
+@pytest.mark.parametrize("mode", ["fbm", "bm"])
+def test_trial_results_hold_no_structured_rows(mode):
+    cfg = model2_config(replications=3, **(dict(hurst=0.5, mode="bm") if mode == "bm" else {}))
+    for trial in run_trials(cfg):
+        for name, value in vars(trial).items():
+            while isinstance(value, np.ndarray):
+                assert value.dtype.names is None, name
+                value = value.base
