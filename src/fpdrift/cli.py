@@ -343,6 +343,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DegenerateStatisticsError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryError as exc:
+        # The fBm sampler and the fBm-mode estimators hold steps x steps arrays.
+        print(f"error: steps: out of memory for this grid ({str(exc) or 'MemoryError'})",
+              file=sys.stderr)
+        return EXIT_DEGENERATE
     except FpdriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

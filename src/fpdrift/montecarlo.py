@@ -8,6 +8,11 @@ makes the per-trial trajectory N -> estimate a function of a single simulation,
 and keeps every trial deterministic in (config, trial_index) regardless of how
 trials are scheduled across workers. A chunk of consecutive trials is sampled,
 simulated and solved as arrays, one gemm per trial, which changes no trial's numbers.
+
+A run on K workers cuts the trials into K consecutive shares. The calling
+process forks K - 1 children with os.fork, one per share after the first, runs
+the first share itself and reads each child's pickled trials from a pipe, all
+with one OpenBLAS thread; no executor or multiprocessing machinery is involved.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, replace
-from functools import cache, partial
-from typing import Optional, Sequence
+from functools import cache
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -310,26 +317,89 @@ def _one_blas_thread():
 _CHUNK_NODES = 2**17
 
 
+def _run_share(config: ExperimentConfig, share: range, size: int) -> list[TrialResult]:
+    """The trials of a share, in chunks of at most size consecutive trials."""
+    return [t for start in range(share.start, share.stop, size)
+            for t in _run_chunk(config, range(start, min(start + size, share.stop)))]
+
+
+def _fork_share(config: ExperimentConfig, share: range, size: int) -> tuple[int, BinaryIO]:
+    """Fork a child that runs a share and pickles (True, trials) or (False,
+    exception) into a pipe; return its pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        # Closed before the next fork, so that no later child holds this write
+        # end and the pipe ends when this child does.
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    # The child never returns into the caller's code, and ending in os._exit it
+    # never flushes the stdio buffers it shares with the parent.
+    status = 1
+    try:
+        os.close(read)
+        try:
+            outcome = (True, _run_share(config, share, size))
+        except Exception as exc:
+            outcome = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _share_result(children: dict[int, BinaryIO], pid: int, share: range) -> list[TrialResult]:
+    """The trials of a forked share, once its child has ended and been reaped;
+    raises the share's first failure, or an error naming an abnormal end."""
+    with children[pid] as pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    del children[pid]
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(f"the worker process running trials {share.start}..{share.stop - 1} "
+                           f"ended with wait status {status} ({how})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
 def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     """All replications, aggregated in trial-index order regardless of workers.
-    Chunks of consecutive trials are the unit of work, serially and in the pool."""
-    reps, workers = config.replications, min(workers, config.replications)
+
+    The trials are cut into `workers` consecutive shares of near-equal size.
+    The parent forks one child per share after the first, runs the first share
+    itself, then gathers the children's shares in order, so the error raised is
+    the one a serial run raises. Chunks of consecutive trials are the unit of
+    work within a share. Where os.fork does not exist, every run is serial.
+    """
+    reps = config.replications
+    workers = max(1, min(workers, reps)) if hasattr(os, "fork") else 1
     nodes = sum(config.points if config.fresh_paths_per_n else (config.n_max,))
     size = max(1, _CHUNK_NODES // (nodes * (config.steps + 1)))
-    if workers > 1:
-        size = min(size, math.ceil(reps / (4 * workers)))
-    chunks = [range(i, min(i + size, reps)) for i in range(0, reps, size)]
-    run = partial(_run_chunk, config)
-    if workers <= 1:
-        return [t for chunk in map(run, chunks) for t in chunk]
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Forked workers inherit the parent's modules: importing numpy.random once
+    bounds = [k * reps // workers for k in range(workers + 1)]
+    shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    # Forked children inherit the parent's modules: importing numpy.random once
     # here spares each of them that import on its first trial.
     import numpy.random  # noqa: F401
-    with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves input order, so aggregation order is fixed.
-        return [t for chunk in pool.map(run, chunks) for t in chunk]
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
+    with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
+        try:
+            for share in shares[1:]:
+                pid, pipe = _fork_share(config, share, size)
+                children[pid] = pipe
+            trials = _run_share(config, shares[0], size)
+            for pid, share in zip(list(children), shares[1:]):
+                trials += _share_result(children, pid, share)
+            return trials
+        finally:
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryReport, list[TrialResult]]:

@@ -117,6 +117,8 @@ def _custom_polynomial(coeffs: list[float]) -> DriftModel:
     Derivative bounds are taken over a fixed probe interval, since b' is
     unbounded on the whole line unless it is constant (degree <= 1).
     """
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"custom drift coefficients must be finite, got {coeffs}")
     poly = np.polynomial.Polynomial(list(reversed([float(c) for c in coeffs])))
     dpoly = poly.deriv()
     ipoly = poly.integ()

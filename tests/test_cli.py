@@ -223,7 +223,7 @@ def test_estimate_missing_input_is_io_error(tmp_path):
     "corr_block=0", "corr_block=3", "corr_block=2 fresh_paths_per_n=true",
     "corr_rho=-1.5 corr_block=2", "corr_rho=1.5 corr_block=5",
     "T=inf", "sigma=nan", "theta0=nan", "x0=nan", "d_threshold=nan",
-    "seed=-1", "alpha=1e-20",
+    "seed=-1", "alpha=1e-20", "model=custom:inf,0", "model=custom:1,nan",
     # sigma^2 overflows, sigma^2 underflows to 0, T^2 underflows to 0.
     "sigma=1e200", "sigma=1e-300", "T=1e-300",
 ])
@@ -302,6 +302,19 @@ def test_fbm_overflow_exit_code_in_pool(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "covariance" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unallocatable_grid_exit_code(tmp_path, capsys, workers):
+    # The fBm covariance of 10^6 steps takes 7.28 TiB: numpy's request for it
+    # fails at once (with two workers, in the parent's share and in the child's).
+    code = run_cli("coverage", "--set", "model=model1", "--set", "H=0.9",
+                   "--set", "steps=1000000", "--set", "n_max=2",
+                   "--set", f"replications={workers}", "--out", str(tmp_path),
+                   "--workers", workers)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: steps: ") and err.count("\n") == 1
 
 
 # sha256 of the files these runs wrote before the Omega_N warning existed.

@@ -1,9 +1,9 @@
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from fpdrift import (
     threshold_sweep,
 )
 from fpdrift import montecarlo
-from fpdrift.errors import ConfigError
+from fpdrift.errors import ConfigError, DivergenceError
 from tests.conftest import model2_config
 
 
@@ -90,53 +90,144 @@ def test_largest_eval_point_below_n_max_builds_no_taylor_table(monkeypatch):
     assert t.omega[0] == want.omega_holds
 
 
-# (11, 2) leaves a partial last chunk; (3, 5) has more workers than trials.
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked by this process, in fork order."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# (11, 2) leaves shares of 5 and 6; (3, 5) has more workers than trials.
 @pytest.mark.parametrize("replications,workers", [(4, 3), (11, 2), (3, 5)])
-def test_workers_do_not_change_results(replications, workers):
+def test_workers_do_not_change_results(forks, replications, workers):
     cfg = model2_config(replications=replications)
     serial = run_trials(cfg, workers=1)
+    assert forks == []
     parallel = run_trials(cfg, workers=workers)
+    assert len(forks) == min(workers, replications) - 1
     assert len(parallel) == replications
     for a, b in zip(serial, parallel):
         assert a.trial_index == b.trial_index
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.aci_upper, b.aci_upper)
-
-
-def _worker_threads(_):
-    a = np.ones((200, 200))
-    a @ a
-    return len(os.listdir("/proc/self/task"))
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-def test_pool_workers_run_one_blas_thread():
+def test_pool_workers_run_one_blas_thread(monkeypatch, forks):
     api = montecarlo._openblas_threads()
     if api is None:
         pytest.skip("no OpenBLAS mapped into this process")
     get = api[0]
-    before = get()
-    fork = multiprocessing.get_context("fork")
-    with montecarlo._one_blas_thread():
-        assert get() == 1
-        with ProcessPoolExecutor(max_workers=2, mp_context=fork) as pool:
-            assert list(pool.map(_worker_threads, range(2))) == [1, 1]
+    before, parent = get(), os.getpid()
+    real = montecarlo._run_chunk
+
+    def chunk(config, indices):
+        a = np.ones((200, 200))
+        a @ a
+        tasks = len(os.listdir("/proc/self/task"))
+        seen = np.array([os.getpid(), tasks, get()], dtype=float)
+        return [replace(t, residuals=seen) for t in real(config, indices)]
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+    trials = run_trials(model2_config(replications=6), workers=3)
     assert get() == before
+    seen = {tuple(map(int, t.residuals)) for t in trials}
+    assert len(forks) == 2
+    assert {pid for pid, _, _ in seen} == {parent, *forks}
+    # One thread and one BLAS thread in the parent's share and in every child.
+    assert {(tasks, blas) for _, tasks, blas in seen} == {(1, 1)}
+    assert_no_child_left()
+
+
+def _fail_at(monkeypatch, error, bad):
+    real = montecarlo._run_chunk
+
+    def chunk(config, indices):
+        for i in indices:
+            if i in bad:
+                raise error(f"trial {i} failed")
+        return real(config, indices)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+
+
+# Shares of 11 trials: 5, 6 on two workers; 3, 4, 4 on three.
+@pytest.mark.parametrize("error", [DivergenceError, MemoryError])
+@pytest.mark.parametrize("workers,bad", [(2, {7, 9}), (3, {5, 8}), (3, {1, 8})])
+def test_pooled_run_raises_the_serial_runs_error(monkeypatch, forks, error, workers, bad):
+    _fail_at(monkeypatch, error, bad)
+    cfg = model2_config(replications=11)
+    with pytest.raises(error) as serial:
+        run_trials(cfg, workers=1)
+    with pytest.raises(error) as pooled:
+        run_trials(cfg, workers=workers)
+    assert str(pooled.value) == str(serial.value) == f"trial {min(bad)} failed"
+    assert len(forks) == workers - 1
+    assert_no_child_left()
+
+
+def test_killed_child_is_named_by_its_wait_status(monkeypatch, forks):
+    parent, real = os.getpid(), montecarlo._run_chunk
+
+    def chunk(config, indices):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(config, indices)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+    with pytest.raises(RuntimeError, match=r"trials 3\.\.5 ended with wait status 9 "
+                                           r"\(killed by signal 9\)"):
+        run_trials(model2_config(replications=6), workers=2)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_failure_in_the_parents_share_kills_the_children(monkeypatch, forks):
+    parent = os.getpid()
+
+    def chunk(config, indices):
+        if os.getpid() == parent:
+            raise ValueError("the parent's share failed")
+        time.sleep(30)  # a child left alive would hold run_trials up this long
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the parent's share failed"):
+        run_trials(model2_config(replications=6), workers=3)
+    assert time.monotonic() - start < 15
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_pooled_run_imports_numpy_random_before_forking():
-    # Workers inherit numpy.random from the parent instead of importing it each.
+    # Children inherit numpy.random from the parent instead of importing it each;
+    # forking them takes no pool machinery.
     code = ("import sys\n"
             "from fpdrift import ExperimentConfig, run_trials\n"
             "cfg = ExperimentConfig(model='model2', hurst=0.9, horizon=0.75, sigma=1.0,\n"
             "                       replications=2, n_max=3)\n"
             "assert 'numpy.random' not in sys.modules\n"
             "run_trials(cfg, workers=2)\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print('numpy.random' in sys.modules, sorted(m for m in ('concurrent.futures',\n"
+            "      'multiprocessing') if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "True"
+    assert out.strip() == "True []"
 
 
 def test_run_experiment_single_replication():
