@@ -19,19 +19,14 @@ from .fbm import (
     HurstParams,
     PathBundle,
     block_correlation,
-    dependence_count,
     fbm_covariance,
     sample_fbm_bundle,
 )
 from .sde import (
     DriftModel,
     SdeSpec,
-    VolModel,
-    constant_vol,
     drift_model,
     euler_additive,
-    euler_multiplicative,
-    extract_regeneration_copies,
 )
 from .estimators import (
     BmEstimatorCache,
@@ -44,7 +39,6 @@ from .estimators import (
     dmax_ou,
     fixed_point,
     iteration_schedule,
-    max_horizon,
     normal_quantile,
 )
 from .montecarlo import (
@@ -71,17 +65,12 @@ __all__ = [
     "HurstParams",
     "PathBundle",
     "block_correlation",
-    "dependence_count",
     "fbm_covariance",
     "sample_fbm_bundle",
     "DriftModel",
     "SdeSpec",
-    "VolModel",
-    "constant_vol",
     "drift_model",
     "euler_additive",
-    "euler_multiplicative",
-    "extract_regeneration_copies",
     "BmEstimatorCache",
     "EstimateBM",
     "EstimateFBM",
@@ -92,7 +81,6 @@ __all__ = [
     "dmax_ou",
     "fixed_point",
     "iteration_schedule",
-    "max_horizon",
     "normal_quantile",
     "ExperimentConfig",
     "SummaryReport",

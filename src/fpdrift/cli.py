@@ -300,7 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--workers", type=int, default=None,
                        help="parallel trial workers (default: the CPUs this process "
-                            "may use); results do not depend on it")
+                            "may use); results do not depend on it when BLAS runs one "
+                            "thread")
         if name == "estimate":
             p.add_argument("--input", default=None,
                            help="bundle CSV to estimate from (default: simulate)")

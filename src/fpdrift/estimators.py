@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateStatisticsError, DivergenceError
 from .fbm import Grid, HurstParams, PathBundle
-from .sde import DriftModel, VolModel
+from .sde import DriftModel
 
 DEFAULT_CONTRACTION = 0.5
 DEFAULT_TOL = 1e-12
@@ -147,6 +147,14 @@ def _prefix_sums(per_path: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """per_path[..., :n] summed over its last axis, for each n in ns along a new
     last axis: bitwise numpy's pairwise sum of the slice, which a cumsum is not."""
     return np.stack([np.add.reduce(per_path[..., :n], axis=-1) for n in ns.tolist()], -1)
+
+
+def _check_per_path(per_path: np.ndarray, what: str) -> None:
+    """Raise where a path's D or I (bm: D or V) left the float range. Its Ybar,
+    per_path[2], is left to the interval check of `_rows`."""
+    if not np.isfinite(per_path[:2]).all():
+        raise DivergenceError(f"a per-path statistic leaves the float range: {what} "
+                              "overflows on this bundle")
 
 
 def _rows(dtype: np.dtype, defined: np.ndarray, **fields) -> np.ndarray:
@@ -294,7 +302,7 @@ def iteration_schedule(
 
 
 # ---------------------------------------------------------------------------
-# Thresholds and horizon bound.
+# Thresholds.
 # ---------------------------------------------------------------------------
 
 def dmax_from_lower_bound(frak_b: float) -> float:
@@ -312,33 +320,6 @@ def dmax_ou(x0: float, theta_max: float, t_max: float) -> float:
         warnings.warn("x0 = 0 gives a degenerate (zero) threshold", stacklevel=2)
         return 0.0
     return 0.5 * x0**2 * math.exp(-2.0 * theta_max * t_max)
-
-
-def max_horizon(
-    ell: float,
-    theta_max: float,
-    t_max: float,
-    hurst: HurstParams,
-    sigma: float,
-    drift: DriftModel,
-    c: float,
-    x0: float,
-) -> float:
-    """Largest admissible estimation horizon given a lower bound ell on |b|_f."""
-    if ell <= 0.0:
-        raise ValueError("ell must be positive")
-    sup_bp = drift.sup_norm_b_prime
-    if sup_bp == 0.0:
-        return math.inf
-    s = abs(sigma)
-    c1 = max(abs(float(drift.b(x0))), sup_bp / 2.0)
-    inner = (
-        theta_max**2 * t_max**2
-        + theta_max * t_max / ell
-        + s * t_max**hurst.h * (1.0 + s * t_max**hurst.h) / ell**2
-    )
-    base = c * ell**2 / (hurst.alpha_bar * sigma**2 * sup_bp**2)
-    return (base * math.exp(-2.0 * c1 * sup_bp * inner)) ** (1.0 / (2.0 * hurst.h))
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +361,14 @@ class FbmEstimatorCache:
         self.t_total = paths.grid.horizon
         x = paths.values
         dt = paths.grid.mesh
-        b, bp = drift.b(x), drift.b_prime(x)
-        d_i = (b[:, :-1] ** 2).sum(axis=1) * dt
-        ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
-        y_i = _ybar_contributions(b[:, 1:], bp[:, 1:], hurst, paths.grid, sigma)
+        # An overflow here is reported once, as DivergenceError, not as warnings.
+        with np.errstate(all="ignore"):
+            b, bp = drift.b(x), drift.b_prime(x)
+            d_i = (b[:, :-1] ** 2).sum(axis=1) * dt
+            ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
+            y_i = _ybar_contributions(b[:, 1:], bp[:, 1:], hurst, paths.grid, sigma)
         self._per_path = np.stack([d_i, ib_i, y_i])
+        _check_per_path(self._per_path, "b(X)^2 or the antiderivative of b")
         # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
         # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
         c = np.zeros_like(x)
@@ -633,22 +617,20 @@ class FbmEstimatorCache:
 class BmEstimatorCache:
     """Per-path statistics of the discrete-time least-squares estimator (H = 1/2)."""
 
-    def __init__(self, paths: PathBundle, drift: DriftModel,
-                 vol: Optional[VolModel] = None, sigma: Optional[float] = None):
-        if vol is None and sigma is None:
-            raise ValueError("either a volatility model or a constant sigma is required")
+    def __init__(self, paths: PathBundle, drift: DriftModel, sigma: float):
         x = paths.values
         dt = paths.grid.mesh
         self.t_total = paths.grid.horizon
         self.n_paths = paths.n_paths
-        b_nodes = drift.b(x[:, :-1])
-        sig_nodes = vol.sigma_fn(x[:, :-1]) if vol is not None else np.full_like(b_nodes, sigma)
         # Per-path contributions to D, V and Ybar, summed over each prefix. An
-        # overflow here is reported by `estimates` (DivergenceError), not as warnings.
+        # overflow here is reported as DivergenceError, here or by `estimates`.
         with np.errstate(over="ignore", invalid="ignore"):
-            self._per_path = np.stack([(b_nodes**2).sum(axis=1) * dt,
+            b_nodes = drift.b(x[:, :-1])
+            b_sq = b_nodes**2
+            self._per_path = np.stack([b_sq.sum(axis=1) * dt,
                                        (b_nodes * np.diff(x, axis=1)).sum(axis=1),
-                                       (b_nodes**2 * sig_nodes**2).sum(axis=1) * dt])
+                                       (b_sq * sigma**2).sum(axis=1) * dt])
+        _check_per_path(self._per_path, "b(X)^2 or b(X) dX")
 
     @staticmethod
     def solve(caches: Sequence["BmEstimatorCache"], points: Optional[Sequence[int]] = None, *,

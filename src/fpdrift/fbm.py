@@ -230,10 +230,3 @@ def block_correlation(n: int, q: int, rho: float) -> CrossCorrelation:
     matrix.flags.writeable = False
     return CrossCorrelation(size=n, matrix=matrix)
 
-
-def dependence_count(corr: CrossCorrelation) -> int:
-    """Number of ordered pairs (i, k), i != k, with R_ik exactly nonzero."""
-    if corr.is_identity:
-        return 0
-    off = corr.matrix - np.diag(np.diag(corr.matrix))
-    return int(np.count_nonzero(off))

@@ -359,8 +359,8 @@ def _share_result(children: dict[int, BinaryIO], pid: int, share: range) -> list
     if status:
         code = os.waitstatus_to_exitcode(status)
         how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        raise RuntimeError(f"the worker process running trials {share.start}..{share.stop - 1} "
-                           f"ended with wait status {status} ({how})")
+        raise ChildProcessError(f"the worker process running trials {share.start}.."
+                                f"{share.stop - 1} ended with wait status {status} ({how})")
     ok, value = pickle.loads(data)
     if not ok:
         raise value

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import fpdrift
 
 from fpdrift import ConfigError, parse_config
+from fpdrift import montecarlo
 from fpdrift.cli import main, _parse_grid, _read_bundle_csv
 
 pytestmark = pytest.mark.usefixtures("no_env_seed")
@@ -278,8 +280,18 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     # The same at H = 1/2, where the per-path Ybar sums already overflow.
     (("experiment", "--set", "model=model2", "--set", "mode=bm", "--set", "H=0.5",
       "--set", "sigma=1e100", "--set", "n_max=3", "--set", "replications=1"), 3),
+    # The paths stay finite, but a per-path D_N (b(X)^2 = X^2) overflows.
+    (("experiment", "--set", "model=model2", "--set", "H=0.7", "--set", "x0=1e200",
+      "--set", "n_max=3", "--set", "replications=1"), 3),
+    # b stays bounded, but the antiderivative's difference is inf - inf, so I_N is NaN.
+    (("experiment", "--set", "model=model1", "--set", "H=0.7", "--set", "x0=1e200",
+      "--set", "n_max=3", "--set", "replications=1"), 3),
+    # The same at H = 1/2, where D_{N,n} overflows.
+    (("experiment", "--set", "model=model2", "--set", "mode=bm", "--set", "H=0.5",
+      "--set", "x0=1e200", "--set", "n_max=3", "--set", "replications=1"), 3),
 ], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
-        "fbm-overflow", "interval-overflow", "bm-interval-overflow"])
+        "fbm-overflow", "interval-overflow", "bm-interval-overflow", "statistic-overflow",
+        "antiderivative-overflow", "bm-statistic-overflow"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")
@@ -302,6 +314,24 @@ def test_fbm_overflow_exit_code_in_pool(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "covariance" in err
+
+
+def test_killed_worker_exit_code(tmp_path, capsys, monkeypatch):
+    parent, real = os.getpid(), montecarlo._run_chunk
+
+    def chunk(config, indices):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(config, indices)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+    code = run_cli("experiment", *common_args(tmp_path)[:-2], "--workers", "2")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "trials 1..1 ended with wait status 9 (killed by signal 9)" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -21,7 +21,6 @@ from fpdrift import (
     drift_model,
     fixed_point,
     iteration_schedule,
-    max_horizon,
     normal_quantile,
 )
 from fpdrift.estimators import _prefix_sums
@@ -333,21 +332,6 @@ def test_iteration_schedule_memoized():
     hits = iteration_schedule.cache_info().hits
     assert iteration_schedule(17, 0.5, 0.75, 1.0, HurstParams(h=0.7)) == want
     assert iteration_schedule.cache_info().hits == hits + 1
-
-
-def test_max_horizon():
-    hp = HurstParams(h=0.9)
-    drift = drift_model("model2")
-    t1 = max_horizon(1.0, 1.0, 0.75, hp, 1.0, drift, 0.5, x0=5.0)
-    assert t1 > 0
-    # Larger lower bound ell loosens the constraint.
-    t2 = max_horizon(2.0, 1.0, 0.75, hp, 1.0, drift, 0.5, x0=5.0)
-    assert t2 > t1
-    # Zero-derivative drift imposes no constraint at all.
-    assert max_horizon(1.0, 1.0, 0.75, hp, 1.0, drift_model("custom:3"),
-                       0.5, x0=5.0) == math.inf
-    with pytest.raises(ValueError):
-        max_horizon(0.0, 1.0, 0.75, hp, 1.0, drift, 0.5, x0=5.0)
 
 
 def test_normal_quantile_accuracy():

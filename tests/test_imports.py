@@ -42,3 +42,13 @@ def test_private_import_check_sees_both_forms(tmp_path):
     path.write_text("from .fbm import Grid, _time_factor\nfrom . import fbm\n"
                     "fbm._cholesky_psd(1)\nfbm.Grid\n", encoding="utf-8")
     assert private_imports(path) == ["from .fbm import _time_factor", "fbm._cholesky_psd"]
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if not alias.name.startswith("_")]
+    assert len(set(fpdrift.__all__)) == len(fpdrift.__all__)
+    assert all(hasattr(fpdrift, name) for name in fpdrift.__all__)
+    assert sorted(fpdrift.__all__) == sorted(imported)

@@ -189,8 +189,8 @@ def test_killed_child_is_named_by_its_wait_status(monkeypatch, forks):
         return real(config, indices)
 
     monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
-    with pytest.raises(RuntimeError, match=r"trials 3\.\.5 ended with wait status 9 "
-                                           r"\(killed by signal 9\)"):
+    with pytest.raises(ChildProcessError, match=r"trials 3\.\.5 ended with wait status 9 "
+                                                r"\(killed by signal 9\)"):
         run_trials(model2_config(replications=6), workers=2)
     assert len(forks) == 1
     assert_no_child_left()
