@@ -145,8 +145,10 @@ BM_ROW = np.dtype([("d_n", float), ("v_n", float), ("estimate", float), ("estima
 
 def _prefix_sums(per_path: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """per_path[..., :n] summed over its last axis, for each n in ns along a new
-    last axis: bitwise numpy's pairwise sum of the slice, which a cumsum is not."""
-    return np.stack([np.add.reduce(per_path[..., :n], axis=-1) for n in ns.tolist()], -1)
+    last axis: bitwise numpy's pairwise sum of the slice, which a cumsum is not.
+    A sum that overflows is inf, left to the estimate's own checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([np.add.reduce(per_path[..., :n], axis=-1) for n in ns.tolist()], -1)
 
 
 def _check_per_path(per_path: np.ndarray, what: str) -> None:
@@ -297,6 +299,8 @@ def iteration_schedule(
     if sup_norm_b_prime == 0.0:
         return 1
     m = c / (1.0 - c) / (2.0 * t_total * hurst.alpha_bar * sup_norm_b_prime)
+    if not m * math.sqrt(n) > 1.0:  # no iteration needed, also where m underflows to 0
+        return MIN_ITERATIONS
     needed = -math.log(m * math.sqrt(n)) / math.log(c)
     return max(MIN_ITERATIONS, math.ceil(needed))
 
@@ -393,7 +397,7 @@ class FbmEstimatorCache:
             d_n = d_sum / nt
             i_n = ib_sum / (nt * d_n)
             m_n = np.exp(first.drift.sup_norm_b_prime * np.abs(i_n) * first.t_total)
-            ybar = first.sigma**2 / (n * first.t_total**2) * y_sum
+            ybar = first.sigma**2 / (n * np.float64(first.t_total)**2) * y_sum
         return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n), ybar
 
     def stats(self, n: Optional[int] = None) -> SufficientStats:
@@ -648,7 +652,7 @@ class BmEstimatorCache:
         nt = ns * t_total
         with np.errstate(all="ignore"):
             d_nn, v_nn = d_sum / nt, v_sum / nt
-            ybar = y_sum / (ns * t_total**2)
+            ybar = y_sum / (ns * np.float64(t_total)**2)  # inf, not OverflowError
             positive = ~(d_nn <= 0.0)
             theta = np.where(positive, v_nn / d_nn, np.nan)
             half = np.sqrt(ybar) * normal_quantile(1.0 - alpha / 2.0) / (np.sqrt(ns) * d_nn)

@@ -29,7 +29,7 @@ from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateStatisticsError, DivergenceError
 from .fbm import Grid, HurstParams, PathBundle, block_correlation, sample_fbm_bundles
 from .sde import DriftModel, SdeSpec, drift_model, euler_additive
 from .estimators import (DEFAULT_TOL, BmEstimatorCache, EstimateBM, EstimateFBM,
@@ -289,6 +289,33 @@ def _openblas_threads():
     return None
 
 
+# glibc's mallopt parameters and the values pinned for them: the largest that its
+# dynamic thresholds reach (once a process frees a 32 MiB block), so that chunks
+# reuse the heap their predecessors freed rather than fault it in afresh.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 32 << 20
+
+
+@cache
+def _pin_malloc_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds at their dynamic maxima, once per
+    process; True where they were set. Elsewhere (musl, macOS, no libc to
+    load) this does nothing. It changes when freed memory is reused, not any
+    result; the cost is up to 64 MiB of freed heap kept after a peak."""
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return False
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES),
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)])
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with one OpenBLAS thread, restoring the count on exit.
@@ -318,9 +345,12 @@ _CHUNK_NODES = 2**17
 
 
 def _run_share(config: ExperimentConfig, share: range, size: int) -> list[TrialResult]:
-    """The trials of a share, in chunks of at most size consecutive trials."""
-    return [t for start in range(share.start, share.stop, size)
-            for t in _run_chunk(config, range(start, min(start + size, share.stop)))]
+    """The trials of a share, in the fewest chunks of at most size consecutive
+    trials, whose lengths differ by at most one."""
+    count = -(-len(share) // size)
+    bounds = [share.start + k * len(share) // count for k in range(count + 1)]
+    return [t for start, stop in zip(bounds, bounds[1:])
+            for t in _run_chunk(config, range(start, stop))]
 
 
 def _fork_share(config: ExperimentConfig, share: range, size: int) -> tuple[int, BinaryIO]:
@@ -382,9 +412,10 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
     size = max(1, _CHUNK_NODES // (nodes * (config.steps + 1)))
     bounds = [k * reps // workers for k in range(workers + 1)]
     shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    # Forked children inherit the parent's modules: importing numpy.random once
-    # here spares each of them that import on its first trial.
+    # Forked children inherit the parent's modules and malloc settings: importing
+    # numpy.random and pinning the thresholds once here spares each of them both.
     import numpy.random  # noqa: F401
+    _pin_malloc_thresholds()
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
     with _one_blas_thread() if workers > 1 else contextlib.nullcontext():
         try:
@@ -403,14 +434,29 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryReport, list[TrialResult]]:
-    """Replicated experiment; summary of final (N = n_max eval point) errors."""
+    """Replicated experiment; summary of final (N = n_max eval point) errors.
+
+    Raises DegenerateStatisticsError or DivergenceError where a trial has no
+    final estimate, or where the errors' mean or spread leaves the float range,
+    rather than report a NaN or infinite summary."""
     start = time.perf_counter()
     trials = run_trials(config, workers)
     errors = [t.final_error(config.theta0) for t in trials]
-    mean, std = summarize(errors)
+    failed = [t for t, err in zip(trials, errors) if math.isnan(err)]
+    if failed:
+        vanished = sum(not t.d_stats[-1] > 0.0 for t in failed)
+        raise (DegenerateStatisticsError if vanished else DivergenceError)(
+            f"the estimate at N = {config.points[-1]} is undefined in {len(failed)} of "
+            f"{len(trials)} trials (D_N <= 0 in {vanished}, a non-finite statistic or "
+            f"iterate in {len(failed) - vanished}); the summary would be NaN")
+    with np.errstate(all="ignore"):
+        mean, std = summarize(errors)
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DivergenceError(f"the estimation errors |theta - theta0| leave the float "
+                              f"range (theta0 = {config.theta0})")
     covered = [t.covers(config.theta0) for t in trials]
     coverage = float(np.mean(covered))
-    omega_failed = sum(not t.omega[-1] for t in trials if not math.isnan(t.estimates[-1]))
+    omega_failed = sum(not t.omega[-1] for t in trials)
     seconds = time.perf_counter() - start
     report = SummaryReport(mean_error=mean, std_error=std, coverage=coverage,
                            seconds=seconds, n_trials=len(trials), omega_failed=omega_failed)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpdrift
 
@@ -289,9 +295,25 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     # The same at H = 1/2, where D_{N,n} overflows.
     (("experiment", "--set", "model=model2", "--set", "mode=bm", "--set", "H=0.5",
       "--set", "x0=1e200", "--set", "n_max=3", "--set", "replications=1"), 3),
+    # b = 0: D_{N,n} = 0 on every trial, so the final estimates and the summary are undefined.
+    (("experiment", "--set", "model=custom:0", "--set", "mode=bm", "--set", "H=0.5",
+      "--set", "T=1", "--set", "sigma=1", "--set", "n_max=2", "--set", "replications=5"), 3),
+    # The estimates are finite, but |theta - theta0| is not.
+    (("coverage", "--set", "model=model1", "--set", "mode=bm", "--set", "H=0.5",
+      "--set", "theta0=1e308", "--set", "steps=2", "--set", "n_max=4",
+      "--set", "replications=1"), 3),
+    # Each path's V is finite, but their sum over N = 20 paths overflows.
+    (("experiment", "--set", "model=custom:1", "--set", "mode=bm", "--set", "H=0.5",
+      "--set", "T=1", "--set", "sigma=1", "--set", "theta0=1e308", "--set", "steps=1",
+      "--set", "n_max=20", "--set", "replications=5"), 3),
+    # T^2 overflows in Ybar_N; b = 0 then leaves every D_N = 0.
+    (("coverage", "--set", "model=custom:0", "--set", "H=0.50000000000000011",
+      "--set", "T=1e160", "--set", "sigma=1", "--set", "n_max=4", "--set", "replications=5"),
+     3),
 ], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
         "fbm-overflow", "interval-overflow", "bm-interval-overflow", "statistic-overflow",
-        "antiderivative-overflow", "bm-statistic-overflow"])
+        "antiderivative-overflow", "bm-statistic-overflow", "undefined-final-estimates",
+        "error-overflow", "prefix-sum-overflow", "fbm-horizon-square-overflow"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")
@@ -304,6 +326,23 @@ def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     assert err.startswith("error: ") and err.count("\n") == 1
     if not isinstance(case, tuple):
         assert str(tmp_path / "bundle.csv") in err
+
+
+@pytest.mark.parametrize("case", [
+    # T^2 overflows in Ybar_N at H = 1/2, where sigma^2 Ybar_N stays in range.
+    ("experiment", "--set", "model=model2", "--set", "mode=bm", "--set", "H=0.5",
+     "--set", "sigma=1e-160", "--set", "T=1e160", "--set", "steps=1", "--set", "n_max=2",
+     "--set", "replications=1"),
+    # The Picard schedule's constant underflows to 0: the floor of 30 iterations applies.
+    ("experiment", "--set", "model=custom:-1,0,1,0", "--set", "H=0.7", "--set", "T=1",
+     "--set", "sigma=1", "--set", "contraction=5e-324", "--set", "n_max=3",
+     "--set", "replications=2"),
+], ids=["bm-horizon-square-overflow", "schedule-underflow"])
+def test_float_range_edges_run_to_completion(tmp_path, capsys, case):
+    assert run_cli(*case, "--seed", "3", "--out", str(tmp_path), "--workers", "1") == 0
+    err = capsys.readouterr().err
+    assert err == "" or (err.startswith("warning: ") and err.count("\n") == 1)
+    assert "nan" not in (tmp_path / "summary.csv").read_text()
 
 
 def test_fbm_overflow_exit_code_in_pool(tmp_path, capsys):
@@ -345,6 +384,73 @@ def test_unallocatable_grid_exit_code(tmp_path, capsys, workers):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: steps: ") and err.count("\n") == 1
+
+
+# The edges of each --set key's range: zero, the smallest and largest floats of
+# either sign, non-finite strings, H at and just inside its bounds, and custom
+# drift coefficients. Size keys stay small or invalid, so that
+# steps * n_max * replications <= 2000 and no example allocates much.
+_TINY_HUGE = ("0", "5e-324", "-5e-324", "1e-160", "-1e-160", "1e160", "-1e160", "1e308",
+              "-1e308", "nan", "inf", "-inf")
+EDGES = {
+    "H": ("0", "5e-324", "0.5", "0.50000000000000011", "0.99999999999999989", "1", "nan",
+          "inf"),
+    **{key: _TINY_HUGE for key in ("T", "sigma", "x0", "theta0", "contraction",
+                                    "d_threshold", "alpha", "tol", "corr_rho")},
+    "model": ("custom:0", "custom:1", "custom:-1,0,1,0", "custom:5e-324,1e308",
+              "custom:1e308,-1e308", "custom:nan", "custom:1,0,0,0,0,1"),
+    "mode": ("fbm", "bm"),
+    "steps": ("0", "-1", "1"),
+    "n_max": ("0", "-1", "1"),
+    "replications": ("0", "-1", "1"),
+    "max_iters": ("0", "-1", "1"),
+    "corr_block": ("0", "-1", "1", "2"),
+    "eval_points": ("1", "0", "1,1", "2,1"),
+    "enforce_omega": ("true", "false"),
+    "fresh_paths_per_n": ("true", "false"),
+}
+MODELS = ("model1", "model2", "custom:-1,0,1,0", "custom:0.5,1")
+
+
+@st.composite
+def edge_runs(draw):
+    """A command and its --set values: a valid small run, with one to three keys
+    moved to an edge of their range."""
+    model = draw(st.sampled_from(MODELS))
+    sets = {"model": model, "H": draw(st.sampled_from(("0.5", "0.7", "0.9"))),
+            "steps": draw(st.sampled_from(("2", "20"))),
+            "n_max": draw(st.sampled_from(("2", "4", "20"))),
+            "replications": draw(st.sampled_from(("1", "5")))}
+    if model.startswith("custom:"):  # no preset supplies T and sigma
+        sets.update(T="1", sigma="1")
+    for key in draw(st.lists(st.sampled_from(sorted(EDGES)), min_size=1, max_size=3,
+                             unique=True)):
+        sets[key] = draw(st.sampled_from(EDGES[key]))
+    return draw(st.sampled_from(("experiment", "coverage"))), sets
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=edge_runs())
+def test_edge_values_end_in_a_documented_exit_code(run):
+    command, sets = run
+    argv = [command, "--seed", "3", "--workers", "1"]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", out])  # raising is printing a traceback
+        summary = Path(out, "summary.csv")
+        cells = summary.read_text().splitlines()[1].split(",") if summary.exists() else []
+    # A warning the program does not catch is one more stderr line, in its own format.
+    lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2, 3, 4), (argv, code, lines)
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith(("warning: ", "error: "))), \
+        (argv, code, lines)
+    if code == 0:  # the last seven cells are numbers; a custom model's commas go unquoted
+        assert cells and not any(math.isnan(float(c)) for c in cells[-7:]), (argv, cells)
 
 
 # sha256 of the files these runs wrote before the Omega_N warning existed.

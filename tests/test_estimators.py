@@ -323,6 +323,8 @@ def test_iteration_schedule():
     assert n_huge > 30
     diff = iteration_schedule(4 * 10**40, 0.5, 0.75, 1.0, hp) - n_huge
     assert diff in (1, 2)  # log(sqrt(4)) / log(2) = 1 extra iteration
+    # A contraction constant so small that the schedule's constant underflows to 0.
+    assert iteration_schedule(10, 5e-324, 1.0, 1e3, hp) == 30
 
 
 def test_iteration_schedule_memoized():

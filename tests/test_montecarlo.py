@@ -1,11 +1,14 @@
+import ctypes
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,6 +233,60 @@ def test_pooled_run_imports_numpy_random_before_forking():
     assert out.strip() == "True []"
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_repeated_serial_run_faults_in_no_fresh_heap():
+    # A second run at bm-coverage-pool settings reuses the heap the first one
+    # freed; with glibc's dynamic thresholds each chunk faulted it in again.
+    code = ("import resource\n"
+            "from fpdrift import ExperimentConfig, run_trials\n"
+            "cfg = ExperimentConfig(model='model2', mode='bm', hurst=0.5, horizon=0.75,\n"
+            "                       sigma=1.0, steps=100, n_max=200, replications=50,\n"
+            "                       eval_points=(200,))\n"
+            "run_trials(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_trials(cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert int(out) <= 200
+
+
+@pytest.fixture
+def fresh_malloc_pin():
+    """A cleared memo of the malloc-threshold setter, cleared again afterwards."""
+    montecarlo._pin_malloc_thresholds.cache_clear()
+    yield montecarlo._pin_malloc_thresholds
+    montecarlo._pin_malloc_thresholds.cache_clear()
+
+
+def test_malloc_thresholds_are_pinned_once_per_process(monkeypatch, fresh_malloc_pin):
+    real, loads = ctypes.CDLL, []
+
+    def cdll(name, *args, **kwargs):
+        loads.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    run_trials(model2_config(replications=2))
+    run_trials(model2_config(replications=2))
+    assert loads == [None]  # loaded by the first run only
+    assert fresh_malloc_pin() is (platform.libc_ver()[0] == "glibc")
+    assert loads == [None]
+
+
+def _no_libc(name):
+    raise OSError("no libc to load")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: SimpleNamespace(mallopt=None), _no_libc],
+                         ids=["libc-without-gnu_get_libc_version", "no-libc"])
+def test_malloc_thresholds_are_left_alone_without_glibc(monkeypatch, fresh_malloc_pin, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)  # mallopt=None would fail if called
+    assert fresh_malloc_pin() is False
+    assert len(run_trials(model2_config(replications=2))) == 2
+
+
 def test_run_experiment_single_replication():
     cfg = model2_config(replications=1)
     report, trials = run_experiment(cfg)
@@ -342,7 +399,7 @@ def test_trial_permutation_invariance(perm_seed):
 
 
 # fbm on every prefix, a few eval points with Omega_N enforced, fresh paths
-# per N, and bm; seven trials leave a partial last chunk of three.
+# per N, and bm; seven trials in chunks of at most three run as 2, 2 and 3.
 CHUNK_CONFIGS = {
     "fbm-prefixes": dict(n_max=10),
     "eval-points-omega": dict(n_max=40, eval_points=(3, 17, 40), enforce_omega=True),
@@ -374,6 +431,27 @@ def test_chunk_size_does_not_change_results(monkeypatch, case):
     assert [t.trial_index for t in runs[0]] == list(range(7))
     assert runs[0][0].estimates.tobytes() == run_trial(cfg, 0).estimates.tobytes()
     assert runs[0][0].estimates.tobytes() != runs[0][1].estimates.tobytes()
+
+
+def test_shares_run_in_near_equal_chunks(monkeypatch):
+    real, ranges = montecarlo._run_chunk, []
+
+    def chunk(config, indices):
+        ranges.append((indices.start, indices.stop))
+        return real(config, indices)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+    cfg = model2_config(replications=30, n_max=2, steps=2)
+    # A share of 25 trials in chunks of at most six: five of five, not 6, 6, 6, 6, 1.
+    share = montecarlo._run_share(cfg, range(5, 30), 6)
+    assert [t.trial_index for t in share] == list(range(5, 30))
+    assert ranges == [(5, 10), (10, 15), (15, 20), (20, 25), (25, 30)]
+    # A run of ten trials in chunks of at most three: 2, 3, 2, 3, not 3, 3, 3, 1.
+    ranges.clear()
+    cfg = replace(cfg, replications=10)
+    monkeypatch.setattr(montecarlo, "_CHUNK_NODES", 3 * cfg.n_max * (cfg.steps + 1))
+    assert [t.trial_index for t in run_trials(cfg)] == list(range(10))
+    assert ranges == [(0, 2), (2, 5), (5, 7), (7, 10)]
 
 
 def test_correlated_run_factors_the_cross_matrix_once(monkeypatch):
