@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,11 +45,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
+def _write_lines(path: str, lines: Sequence[str]) -> None:
+    """Each of lines (which may span several) and a newline, in one write."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.write("\n".join([*lines, ""]))
 
 
 def _log(cfg: RunConfig, message: str) -> None:
@@ -167,10 +167,14 @@ def cmd_estimate(cfg: RunConfig, input_path: Optional[str]) -> int:
 def _write_summary(cfg: RunConfig, report) -> None:
     e = cfg.experiment
     header = "model,H,N_max,replications,mean_error,std_error,coverage,seconds"
+    # RFC 4180: a cell that holds a comma (a custom model's coefficients) or a line
+    # break (float() allows one around a coefficient) is double-quoted. A valid
+    # model string holds no quote, which would need doubling.
+    model = f'"{e.model}"' if any(ch in e.model for ch in ",\r\n") else e.model
     # Timings go to stderr; the file column is pinned to 0 so that output bytes
     # depend only on (config, seed), not on the machine or worker count.
     row = ",".join([
-        e.model, _fmt(e.hurst), str(e.n_max), str(e.replications),
+        model, _fmt(e.hurst), str(e.n_max), str(e.replications),
         _fmt(report.mean_error), _fmt(report.std_error),
         _fmt(report.coverage), _fmt(0.0),
     ])
@@ -193,11 +197,13 @@ def _warn_untruncated(cfg: RunConfig, report, n: int) -> None:
 
 
 def _trajectory_lines(trials) -> list[str]:
+    """The header, then one block of rows per trial, filled from one %-template."""
     lines = ["trial,N,estimate,aci_lower,aci_upper"]
     for t in trials:
-        i = t.trial_index
-        lines.extend(f"{i},{n},{est:.17g},{lo:.17g},{hi:.17g}" for n, est, lo, hi in zip(
-            t.ns.tolist(), t.estimates.tolist(), t.aci_lower.tolist(), t.aci_upper.tolist()))
+        row = f"{t.trial_index},%d,%.17g,%.17g,%.17g"
+        values = zip(t.ns.tolist(), t.estimates.tolist(), t.aci_lower.tolist(),
+                     t.aci_upper.tolist())
+        lines.append("\n".join([row] * len(t.ns)) % tuple(itertools.chain(*values)))
     return lines
 
 

@@ -255,7 +255,9 @@ def check_omega(
     if np.any(stats.d_n <= 0.0):
         raise DegenerateStatisticsError("D_N vanished; the contraction event is undefined")
     lhs = t_total ** (2.0 * hurst.h) * stats.m_n / stats.d_n
-    rhs = c / (hurst.alpha_bar * sigma**2 * sup_norm_b_prime**2)
+    bound = hurst.alpha_bar * sigma**2 * sup_norm_b_prime**2
+    # Where the bound underflows to 0, the right side is +inf: Omega_N holds.
+    rhs = c / bound if bound > 0.0 else math.inf
     return lhs <= rhs
 
 
@@ -298,11 +300,13 @@ def iteration_schedule(
         raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
     if sup_norm_b_prime == 0.0:
         return 1
-    m = c / (1.0 - c) / (2.0 * t_total * hurst.alpha_bar * sup_norm_b_prime)
-    if not m * math.sqrt(n) > 1.0:  # no iteration needed, also where m underflows to 0
+    # log(m sqrt(N)), m = c / (1 - c) / (2 T alpha_bar |b'|_inf), from the logs of
+    # its factors: finite where m itself would under- or overflow.
+    log_m = (math.log(c) - math.log(1.0 - c) - math.log(2.0) - math.log(t_total)
+             - math.log(hurst.alpha_bar) - math.log(sup_norm_b_prime) + 0.5 * math.log(n))
+    if not log_m > 0.0:  # no iteration needed
         return MIN_ITERATIONS
-    needed = -math.log(m * math.sqrt(n)) / math.log(c)
-    return max(MIN_ITERATIONS, math.ceil(needed))
+    return max(MIN_ITERATIONS, math.ceil(-log_m / math.log(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +551,14 @@ class FbmEstimatorCache:
     def solve(caches: Sequence["FbmEstimatorCache"], points: Optional[Sequence[int]] = None, *,
               c: float = DEFAULT_CONTRACTION, d_threshold: float = 0.0, alpha: float = 0.05,
               enforce_omega: bool = False, max_iters: Optional[int] = None,
-              tol: float = DEFAULT_TOL) -> np.ndarray:
+              tol: float = DEFAULT_TOL, residual: bool = True) -> np.ndarray:
         """`FBM_ROW`s, shape (len(caches), len(points)): [t, j] is the estimate on
         the first points[j] paths of caches[t] (default: all), the same bits as
         alone, with its interval of half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N).
         Picard runs from 0 on all pairs at once; each stops after a step of at
-        most tol, or after max_iters steps (default: the `iteration_schedule` of N)."""
+        most tol, or after max_iters steps (default: the `iteration_schedule` of N).
+        The residual |Phi_N(R_N) - R_N| costs one more Phi_N sweep; with
+        residual=False it is skipped and left NaN, and no other field changes."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if (max_iters is not None and max_iters < 1) or tol < 0.0:
@@ -575,7 +581,7 @@ class FbmEstimatorCache:
         limits = np.tile([max_iters or iteration_schedule(m, c, first.t_total, sup, first.hurst)
                           for m in ns.tolist()], len(caches))
         r, iterations = np.zeros(len(n)), np.zeros(len(n), dtype=np.int64)
-        residual = np.full(len(n), np.nan)
+        residuals = np.full(len(n), np.nan)
         k, r_k, limits_k, steps = live, r[live], limits[live], 0
         with np.errstate(all="ignore"):
             half = 2.0 * np.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
@@ -588,14 +594,15 @@ class FbmEstimatorCache:
                 going = np.isfinite(r_next) & (np.abs(r_next - r_k) > tol) & (steps < limits_k)
                 k, r_k, limits_k = k[going], r_next[going], limits_k[going]
             ok &= np.isfinite(r)
-            live = np.flatnonzero(ok)
-            residual[live] = np.abs(phi(live, r[live]) - r[live])
+            if residual:
+                live = np.flatnonzero(ok)
+                residuals[live] = np.abs(phi(live, r[live]) - r[live])
             theta = stats.i_n + r
             theta_c = np.where(omega, theta, 0.0)
             reported = theta_c if enforce_omega else theta
             return _rows(FBM_ROW, ok, estimate=reported, aci_lower=reported - half,
                          aci_upper=reported + half, d_n=stats.d_n, i_n=stats.i_n, r_n=r,
-                         residual=residual, omega=omega & ok, iterations=iterations,
+                         residual=residuals, omega=omega & ok, iterations=iterations,
                          theta_c=theta_c, ybar=ybar,
                          theta_cd=np.where(stats.d_n >= d_threshold, theta_c, 0.0),
                          ).reshape(len(caches), len(ns))

@@ -141,7 +141,6 @@ class TrialResult:
     omega: np.ndarray           # bool; always True in bm mode
     d_stats: np.ndarray
     r_n: np.ndarray             # NaN in bm mode
-    residuals: np.ndarray       # NaN in bm mode
 
     def final_error(self, theta0: float) -> float:
         return abs(float(self.estimates[-1]) - theta0)
@@ -235,12 +234,14 @@ def _run_chunk(config: ExperimentConfig, indices: range) -> list[TrialResult]:
     groups = [[estimator_cache(config, replace(paths, values=paths.values[a:a + ns[-1]]))
                for a in range(start, stop, m)]
               for ns, m, start, stop in zip(sizes, lengths, starts, starts[1:])]
-    rows = np.concatenate([type(group[0]).solve(group, ns, **_settings(config))
+    # No output reads the residual |Phi_N(R_N) - R_N|, so its Phi_N sweep is skipped.
+    settings = _settings(config) | (dict(residual=False) if config.mode == "fbm" else {})
+    rows = np.concatenate([type(group[0]).solve(group, ns, **settings)
                            for group, ns in zip(groups, sizes)], axis=1)
     # One copy of each field read, so that no trial keeps the solve's others alive.
-    # R_N and the residual are NaN in bm mode, where no fixed point is solved.
+    # R_N is NaN in bm mode, where no fixed point is solved.
     fields = dict(estimates="estimate", aci_lower="aci_lower", aci_upper="aci_upper",
-                  omega="omega", d_stats="d_n", r_n="r_n", residuals="residual")
+                  omega="omega", d_stats="d_n", r_n="r_n")
     nan, evaluated = np.full(rows.shape, np.nan), np.asarray(points, dtype=int)
     cols = {key: rows[name].copy() if name in rows.dtype.names else nan
             for key, name in fields.items()}

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -310,10 +311,15 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     (("coverage", "--set", "model=custom:0", "--set", "H=0.50000000000000011",
       "--set", "T=1e160", "--set", "sigma=1", "--set", "n_max=4", "--set", "replications=5"),
      3),
+    # 2 T alpha_bar sup|b'| underflows in the Picard schedule, which is built for
+    # every prefix; b(X)^2 underflows too, so every D_N = 0.
+    (("experiment", "--set", "model=custom:1e-300,0", "--set", "T=1e-150", "--set", "sigma=1",
+      "--set", "H=0.7", "--set", "n_max=5", "--set", "replications=2"), 3),
 ], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
         "fbm-overflow", "interval-overflow", "bm-interval-overflow", "statistic-overflow",
         "antiderivative-overflow", "bm-statistic-overflow", "undefined-final-estimates",
-        "error-overflow", "prefix-sum-overflow", "fbm-horizon-square-overflow"])
+        "error-overflow", "prefix-sum-overflow", "fbm-horizon-square-overflow",
+        "schedule-constant-underflow"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")
@@ -337,7 +343,10 @@ def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     ("experiment", "--set", "model=custom:-1,0,1,0", "--set", "H=0.7", "--set", "T=1",
      "--set", "sigma=1", "--set", "contraction=5e-324", "--set", "n_max=3",
      "--set", "replications=2"),
-], ids=["bm-horizon-square-overflow", "schedule-underflow"])
+    # sup|b'|^2 = 1e-400 underflows to 0 in Omega_N's bound, whose right side is then +inf.
+    ("experiment", "--set", "model=custom:1e-200,1", "--set", "T=1", "--set", "sigma=1",
+     "--set", "H=0.7", "--set", "n_max=5", "--set", "replications=2"),
+], ids=["bm-horizon-square-overflow", "schedule-underflow", "omega-bound-underflow"])
 def test_float_range_edges_run_to_completion(tmp_path, capsys, case):
     assert run_cli(*case, "--seed", "3", "--out", str(tmp_path), "--workers", "1") == 0
     err = capsys.readouterr().err
@@ -398,7 +407,7 @@ EDGES = {
     **{key: _TINY_HUGE for key in ("T", "sigma", "x0", "theta0", "contraction",
                                     "d_threshold", "alpha", "tol", "corr_rho")},
     "model": ("custom:0", "custom:1", "custom:-1,0,1,0", "custom:5e-324,1e308",
-              "custom:1e308,-1e308", "custom:nan", "custom:1,0,0,0,0,1"),
+              "custom:1e308,-1e308", "custom:nan", "custom:1,0,0,0,0,1", "custom:1e-200,1"),
     "mode": ("fbm", "bm"),
     "steps": ("0", "-1", "1"),
     "n_max": ("0", "-1", "1"),
@@ -443,14 +452,15 @@ def test_edge_values_end_in_a_documented_exit_code(run):
         warnings.simplefilter("always")
         code = main([*argv, "--out", out])  # raising is printing a traceback
         summary = Path(out, "summary.csv")
-        cells = summary.read_text().splitlines()[1].split(",") if summary.exists() else []
+        cells = list(csv.reader(summary.read_text().splitlines()))[1] if summary.exists() else []
     # A warning the program does not catch is one more stderr line, in its own format.
     lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
     assert code in (0, 2, 3, 4), (argv, code, lines)
     assert lines == [] or (len(lines) == 1 and lines[0].startswith(("warning: ", "error: "))), \
         (argv, code, lines)
-    if code == 0:  # the last seven cells are numbers; a custom model's commas go unquoted
-        assert cells and not any(math.isnan(float(c)) for c in cells[-7:]), (argv, cells)
+    if code == 0:  # a model cell, quoted where it holds commas, then seven numbers
+        assert len(cells) == 8 and not any(math.isnan(float(c)) for c in cells[1:]), \
+            (argv, cells)
 
 
 # sha256 of the files these runs wrote before the Omega_N warning existed.
@@ -516,6 +526,18 @@ def test_experiment_outputs(tmp_path):
     traj = (tmp_path / "trajectories.csv").read_text().splitlines()
     assert traj[0] == "trial,N,estimate,aci_lower,aci_upper"
     assert len(traj) == 1 + 3  # one trial, n_max = 3
+
+
+def test_custom_model_summary_cell_is_quoted(tmp_path):
+    code = run_cli("experiment", "--set", "model=custom:-1,0,1,0", "--set", "H=0.7",
+                   "--set", "T=1", "--set", "sigma=1", "--set", "x0=1", "--set", "n_max=4",
+                   "--set", "replications=2", "--seed", "0", "--out", str(tmp_path),
+                   "--workers", "1")
+    assert code == 0
+    text = (tmp_path / "summary.csv").read_text()
+    header, row = csv.reader(text.splitlines())
+    assert len(header) == len(row) == 8
+    assert row[0] == "custom:-1,0,1,0" and text.splitlines()[1].startswith('"custom:-1,0,1,0",')
 
 
 def test_experiment_json_format(tmp_path):

@@ -23,7 +23,7 @@ from fpdrift import (
     iteration_schedule,
     normal_quantile,
 )
-from fpdrift.estimators import _prefix_sums
+from fpdrift.estimators import FBM_ROW, _prefix_sums
 from tests.conftest import solution_bundle
 
 
@@ -722,6 +722,16 @@ def test_stacked_solve_matches_each_cache(points):
                                                   1e-12)
             assert (row["r_n"], row["iterations"], row["residual"]) == (r, iterations, residual)
     assert np.isnan(rows["estimate"][4]).all() and not rows["omega"][4].any()
+
+
+@pytest.mark.parametrize("points", [range(1, 41), (5, 39)])
+def test_solve_without_residual_changes_no_other_field(points):
+    rows = FbmEstimatorCache.solve(chunk_caches(), points)
+    lean = FbmEstimatorCache.solve(chunk_caches(), points, residual=False)
+    assert np.isnan(lean["residual"]).all() and not np.isnan(rows["residual"][:4]).all()
+    for name in FBM_ROW.names:
+        if name != "residual":
+            assert lean[name].tobytes() == rows[name].tobytes(), name
 
 
 

@@ -24,7 +24,7 @@ from fpdrift import (
     summarize,
     threshold_sweep,
 )
-from fpdrift import montecarlo
+from fpdrift import estimators, montecarlo
 from fpdrift.errors import ConfigError, DivergenceError
 from tests.conftest import model2_config
 
@@ -89,8 +89,27 @@ def test_largest_eval_point_below_n_max_builds_no_taylor_table(monkeypatch):
     assert t.ns.tolist() == [5]
     assert t.estimates[0] == want.theta_tilde
     assert (t.aci_lower[0], t.aci_upper[0]) == want.aci[:2]
-    assert (t.d_stats[0], t.r_n[0], t.residuals[0]) == (want.d_n, want.r_n, want.residual)
+    assert (t.d_stats[0], t.r_n[0]) == (want.d_n, want.r_n)
     assert t.omega[0] == want.omega_holds
+
+
+def test_trial_solve_skips_the_residual_sweep(monkeypatch):
+    # On the full bundle every Phi_N value is an exact sum: one call per Picard
+    # step, and none more for the residual |Phi_N(R_N) - R_N| that no output reads.
+    cfg = model2_config(eval_points=(5,), n_max=10, replications=1)
+    paths = montecarlo.simulate_bundle(cfg, montecarlo.trial_rng(cfg, 0), 10)
+    want = FbmEstimatorCache(replace(paths, values=paths.values[:5]), cfg.drift(),
+                             cfg.hurst_params(), cfg.sigma).estimate()
+    real, calls = estimators._phi_factorized, []
+
+    def phi_factorized(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_phi_factorized", phi_factorized)
+    t = run_trial(cfg, 0)
+    assert t.r_n[0] == want.r_n
+    assert want.iterations > 1 and len(calls) == want.iterations
 
 
 @pytest.fixture
@@ -143,12 +162,12 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, forks):
         a @ a
         tasks = len(os.listdir("/proc/self/task"))
         seen = np.array([os.getpid(), tasks, get()], dtype=float)
-        return [replace(t, residuals=seen) for t in real(config, indices)]
+        return [replace(t, r_n=seen) for t in real(config, indices)]
 
     monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
     trials = run_trials(model2_config(replications=6), workers=3)
     assert get() == before
-    seen = {tuple(map(int, t.residuals)) for t in trials}
+    seen = {tuple(map(int, t.r_n)) for t in trials}
     assert len(forks) == 2
     assert {pid for pid, _, _ in seen} == {parent, *forks}
     # One thread and one BLAS thread in the parent's share and in every child.
@@ -421,8 +440,7 @@ def test_chunk_size_does_not_change_results(monkeypatch, case):
     for trials_per_chunk in (1, 3, cfg.replications):
         monkeypatch.setattr(montecarlo, "_CHUNK_NODES", trials_per_chunk * nodes)
         runs.append(run_trials(cfg))
-    fields = ("ns", "estimates", "aci_lower", "aci_upper", "omega", "d_stats", "r_n",
-              "residuals")
+    fields = ("ns", "estimates", "aci_lower", "aci_upper", "omega", "d_stats", "r_n")
     for one, three, whole in zip(*runs):
         assert one.trial_index == three.trial_index == whole.trial_index
         for name in fields:

@@ -46,3 +46,18 @@ def test_aci_coverage():
     for line in lines:
         coverage = float(line.split("coverage = ")[1].split()[0])
         assert 0.0 <= coverage <= 1.0
+
+
+def test_output_digests():
+    lines = run_script("output_digests.py", "--workers", "1,2", "--case", "estimate-fbm",
+                       "--case", "bm-sigma-overflow")
+    rows = [line.split() for line in lines]
+    assert all(len(row) == 4 for row in rows)
+    digests = {(case, workers, what): value for case, workers, what, value in rows}
+    assert [what for case, workers, what, _ in rows if (case, workers) == ("estimate-fbm", "w1")] \
+        == ["exit", "stdout", "stderr", "estimate.json"]
+    assert digests["estimate-fbm", "w1", "exit"] == "0"
+    assert digests["bm-sigma-overflow", "w1", "exit"] == "3"
+    # Nothing here runs a threaded gemm, so the worker count changes no byte.
+    for (case, workers, what), value in digests.items():
+        assert digests[case, "w2", what] == value
