@@ -81,6 +81,8 @@ CASES: dict[str, list[str]] = {
     # a trial with no final estimate (exit 3).
     "custom-nan-rows": ["experiment", *_sets(*_CUSTOM, "x0=1")],
     "custom-undefined-final": ["experiment", *_sets(*_CUSTOM, "x0=0")],
+    # The same NaN rows in JSON, where they are written as null.
+    "custom-nan-rows-json": ["experiment", *_sets(*_CUSTOM, "x0=1"), "--format", "json"],
     # I_N is far from 0 on T = 5: the Taylor table serves few steps.
     "model2-t5": ["experiment", *_sets(*_FBM, "T=5", *_SMALL)],
     "model1-fine": ["experiment", *_sets("model=model1", "H=0.9", "steps=400", "n_max=50",

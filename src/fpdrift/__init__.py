@@ -44,7 +44,6 @@ from .estimators import (
 from .montecarlo import (
     ExperimentConfig,
     SummaryReport,
-    TrialResult,
     coverage_experiment,
     default_workers,
     run_experiment,
@@ -84,7 +83,6 @@ __all__ = [
     "normal_quantile",
     "ExperimentConfig",
     "SummaryReport",
-    "TrialResult",
     "coverage_experiment",
     "default_workers",
     "run_experiment",

@@ -51,6 +51,23 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
         fh.write("\n".join([*lines, ""]))
 
 
+def _finite_or_none(value):
+    """value with each non-finite float in it, however nested, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_none(item) for item in value]
+    return value
+
+
+def _json_text(payload) -> str:
+    """payload as indented JSON, with null for NaN and infinities, which JSON
+    (RFC 8259) cannot hold."""
+    return json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _log(cfg: RunConfig, message: str) -> None:
     if cfg.verbosity > 0:
         print(message, file=sys.stderr)
@@ -152,8 +169,7 @@ def cmd_estimate(cfg: RunConfig, input_path: Optional[str]) -> int:
         bundle = _read_bundle_csv(input_path)
     else:
         bundle = simulate_bundle(e, trial_rng(e, 0), e.n_max)
-    record = _estimate_record(cfg, bundle)
-    text = json.dumps(record, indent=2, sort_keys=True)
+    text = _json_text(_estimate_record(cfg, bundle))
     print(text)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "estimate.json")
@@ -196,28 +212,28 @@ def _warn_untruncated(cfg: RunConfig, report, n: int) -> None:
               f"untruncated ones (enforce_omega=true truncates them)", file=sys.stderr)
 
 
-def _trajectory_lines(trials) -> list[str]:
+def _trajectory_lines(trials: np.ndarray, points: Sequence[int]) -> list[str]:
     """The header, then one block of rows per trial, filled from one %-template."""
     lines = ["trial,N,estimate,aci_lower,aci_upper"]
-    for t in trials:
-        row = f"{t.trial_index},%d,%.17g,%.17g,%.17g"
-        values = zip(t.ns.tolist(), t.estimates.tolist(), t.aci_lower.tolist(),
-                     t.aci_upper.tolist())
-        lines.append("\n".join([row] * len(t.ns)) % tuple(itertools.chain(*values)))
+    for i, row in enumerate(trials):
+        template = f"{i},%d,%.17g,%.17g,%.17g"
+        values = zip(points, row["estimate"].tolist(), row["aci_lower"].tolist(),
+                     row["aci_upper"].tolist())
+        lines.append("\n".join([template] * len(points)) % tuple(itertools.chain(*values)))
     return lines
 
 
-def _trajectory_payload(trials) -> dict:
+def _trajectory_payload(trials: np.ndarray, points: Sequence[int]) -> dict:
     return {
         "trials": [
             {
-                "trial": t.trial_index,
-                "N": [int(n) for n in t.ns],
-                "estimate": list(map(float, t.estimates)),
-                "aci_lower": list(map(float, t.aci_lower)),
-                "aci_upper": list(map(float, t.aci_upper)),
+                "trial": i,
+                "N": list(points),
+                "estimate": row["estimate"].tolist(),
+                "aci_lower": row["aci_lower"].tolist(),
+                "aci_upper": row["aci_upper"].tolist(),
             }
-            for t in trials
+            for i, row in enumerate(trials)
         ]
     }
 
@@ -230,7 +246,7 @@ def _write_report(cfg: RunConfig, name: str, lines: list[str], payload: dict) ->
     else:
         path = os.path.join(cfg.out_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
+            fh.write(_json_text(payload))
             fh.write("\n")
     _log(cfg, f"wrote {path}")
 
@@ -244,9 +260,9 @@ def cmd_experiment(cfg: RunConfig, workers: int) -> int:
     _write_summary(cfg, report)
     # Only the written format's rows are built.
     if cfg.format == "csv":
-        _write_report(cfg, "trajectories", _trajectory_lines(trials), {})
+        _write_report(cfg, "trajectories", _trajectory_lines(trials, e.points), {})
     else:
-        _write_report(cfg, "trajectories", [], _trajectory_payload(trials))
+        _write_report(cfg, "trajectories", [], _trajectory_payload(trials, e.points))
     return EXIT_OK
 
 
@@ -351,9 +367,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except MemoryError as exc:
-        # The fBm sampler and the fBm-mode estimators hold steps x steps arrays.
-        print(f"error: steps: out of memory for this grid ({str(exc) or 'MemoryError'})",
-              file=sys.stderr)
+        # The fBm sampler and the fBm-mode estimators hold steps x steps arrays;
+        # `run_trials` names replications where its result array does not fit.
+        message = str(exc) or "MemoryError"
+        if not message.startswith("replications: "):
+            message = f"steps: out of memory for this grid ({message})"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_DEGENERATE
     except FpdriftError as exc:
         print(f"error: {exc}", file=sys.stderr)

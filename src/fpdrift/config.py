@@ -60,6 +60,15 @@ class RunConfig:
         return d
 
 
+def _integer(key: str, value: Any) -> int:
+    """An int, or a string that int() reads; bools and floats are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
+
+
 def _coerce(key: str, value: Any) -> Any:
     """Type-check and convert one config value, with a field-level message."""
     try:
@@ -74,13 +83,7 @@ def _coerce(key: str, value: Any) -> Any:
                 return value.lower() == "true"
             raise ConfigError(f"{key}: expected a boolean, got {value!r}")
         if key in _INT_KEYS:
-            if isinstance(value, bool):
-                raise ConfigError(f"{key}: expected an integer, got {value!r}")
-            if isinstance(value, int):
-                return value
-            if isinstance(value, str):
-                return int(value)
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
+            return _integer(key, value)
         if key in _FLOAT_KEYS:
             if isinstance(value, bool):
                 raise ConfigError(f"{key}: expected a number, got {value!r}")
@@ -95,7 +98,7 @@ def _coerce(key: str, value: Any) -> Any:
                 value = [v for v in value.split(",") if v.strip()]
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{key}: expected a list of integers, got {value!r}")
-            return tuple(int(v) for v in value)
+            return tuple(_integer(key, v) for v in value)
         if key in _STR_KEYS:
             if not isinstance(value, str):
                 raise ConfigError(f"{key}: expected a string, got {value!r}")

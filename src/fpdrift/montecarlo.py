@@ -11,8 +11,8 @@ simulated and solved as arrays, one gemm per trial, which changes no trial's num
 
 A run on K workers cuts the trials into K consecutive shares. The calling
 process forks K - 1 children with os.fork, one per share after the first, runs
-the first share itself and reads each child's pickled trials from a pipe, all
-with one OpenBLAS thread; no executor or multiprocessing machinery is involved.
+the first share itself and reads each child's pickled result array from a pipe,
+all with one OpenBLAS thread; no executor or multiprocessing machinery is involved.
 """
 
 from __future__ import annotations
@@ -125,28 +125,11 @@ class ExperimentConfig:
         return drift_model(self.model)
 
 
-@dataclass
-class TrialResult:
-    """Per-trial estimate trajectory over the evaluated prefix sizes.
-
-    Arrays are aligned with `ns`. Failed evaluations (degenerate statistics or
-    divergent iteration) are recorded as NaN rather than aborting the trial.
-    """
-
-    trial_index: int
-    ns: np.ndarray
-    estimates: np.ndarray       # reported estimate (theta_tilde or theta_hat)
-    aci_lower: np.ndarray
-    aci_upper: np.ndarray
-    omega: np.ndarray           # bool; always True in bm mode
-    d_stats: np.ndarray
-    r_n: np.ndarray             # NaN in bm mode
-
-    def final_error(self, theta0: float) -> float:
-        return abs(float(self.estimates[-1]) - theta0)
-
-    def covers(self, theta0: float) -> bool:
-        return bool(self.aci_lower[-1] <= theta0 <= self.aci_upper[-1])
+# What a run keeps of each (trial, N) solve row: the fields that FBM_ROW and BM_ROW
+# share, packed. A row is NaN where its evaluation failed (degenerate statistics or
+# divergent iteration); its omega is always True in bm mode.
+RESULT_ROW = np.dtype([("estimate", float), ("aci_lower", float), ("aci_upper", float),
+                       ("omega", bool), ("d_n", float)])
 
 
 @dataclass
@@ -220,9 +203,10 @@ def estimate(config: ExperimentConfig, cache: FbmEstimatorCache | BmEstimatorCac
     return cache.estimate(n, **_settings(config))
 
 
-def _run_chunk(config: ExperimentConfig, indices: range) -> list[TrialResult]:
+def _run_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
     """Consecutive deterministic trials, each drawn from its own rng, simulated in
-    one bundle and solved together: one `solve` call per bundle size."""
+    one bundle and solved together: one `solve` call per bundle size. Returns the
+    solve rows, shape (len(indices), len(config.points))."""
     points, fresh = config.points, config.fresh_paths_per_n
     # One bundle per trial serves every eval point (all n_max paths are drawn, so the
     # rng stream does not depend on them), or with fresh paths one bundle per point.
@@ -236,21 +220,12 @@ def _run_chunk(config: ExperimentConfig, indices: range) -> list[TrialResult]:
               for ns, m, start, stop in zip(sizes, lengths, starts, starts[1:])]
     # No output reads the residual |Phi_N(R_N) - R_N|, so its Phi_N sweep is skipped.
     settings = _settings(config) | (dict(residual=False) if config.mode == "fbm" else {})
-    rows = np.concatenate([type(group[0]).solve(group, ns, **settings)
+    return np.concatenate([type(group[0]).solve(group, ns, **settings)
                            for group, ns in zip(groups, sizes)], axis=1)
-    # One copy of each field read, so that no trial keeps the solve's others alive.
-    # R_N is NaN in bm mode, where no fixed point is solved.
-    fields = dict(estimates="estimate", aci_lower="aci_lower", aci_upper="aci_upper",
-                  omega="omega", d_stats="d_n", r_n="r_n")
-    nan, evaluated = np.full(rows.shape, np.nan), np.asarray(points, dtype=int)
-    cols = {key: rows[name].copy() if name in rows.dtype.names else nan
-            for key, name in fields.items()}
-    return [TrialResult(trial_index=i, ns=evaluated, **{key: col[t] for key, col in cols.items()})
-            for t, i in enumerate(indices)]
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
-    """One deterministic trial: simulate once, estimate on each prefix size."""
+def run_trial(config: ExperimentConfig, trial_index: int) -> np.ndarray:
+    """One deterministic trial, the chunk of one: its solve row of each eval point."""
     return _run_chunk(config, range(trial_index, trial_index + 1))[0]
 
 
@@ -345,18 +320,19 @@ def _one_blas_thread():
 _CHUNK_NODES = 2**17
 
 
-def _run_share(config: ExperimentConfig, share: range, size: int) -> list[TrialResult]:
-    """The trials of a share, in the fewest chunks of at most size consecutive
-    trials, whose lengths differ by at most one."""
+def _run_share(config: ExperimentConfig, share: range, size: int, out: np.ndarray) -> None:
+    """Fill out with the `RESULT_ROW`s of a share's trials, run in the fewest chunks
+    of at most size consecutive trials, whose lengths differ by at most one."""
     count = -(-len(share) // size)
-    bounds = [share.start + k * len(share) // count for k in range(count + 1)]
-    return [t for start, stop in zip(bounds, bounds[1:])
-            for t in _run_chunk(config, range(start, stop))]
+    bounds = [k * len(share) // count for k in range(count + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = _run_chunk(config, range(share.start + start, share.start + stop))
+        out[start:stop] = rows[list(RESULT_ROW.names)]
 
 
 def _fork_share(config: ExperimentConfig, share: range, size: int) -> tuple[int, BinaryIO]:
-    """Fork a child that runs a share and pickles (True, trials) or (False,
-    exception) into a pipe; return its pid and the pipe's read end."""
+    """Fork a child that runs a share and pickles (True, its result array) or
+    (False, exception) into a pipe; return its pid and the pipe's read end."""
     read, write = os.pipe()
     pid = os.fork()
     if pid:
@@ -370,7 +346,9 @@ def _fork_share(config: ExperimentConfig, share: range, size: int) -> tuple[int,
     try:
         os.close(read)
         try:
-            outcome = (True, _run_share(config, share, size))
+            trials = np.empty((len(share), len(config.points)), RESULT_ROW)
+            _run_share(config, share, size, trials)
+            outcome = (True, trials)
         except Exception as exc:
             outcome = (False, exc)
         with os.fdopen(write, "wb") as pipe:
@@ -380,8 +358,8 @@ def _fork_share(config: ExperimentConfig, share: range, size: int) -> tuple[int,
         os._exit(status)
 
 
-def _share_result(children: dict[int, BinaryIO], pid: int, share: range) -> list[TrialResult]:
-    """The trials of a forked share, once its child has ended and been reaped;
+def _share_result(children: dict[int, BinaryIO], pid: int, share: range) -> np.ndarray:
+    """The result array of a forked share, once its child has ended and been reaped;
     raises the share's first failure, or an error naming an abnormal end."""
     with children[pid] as pipe:
         data = pipe.read()
@@ -398,16 +376,22 @@ def _share_result(children: dict[int, BinaryIO], pid: int, share: range) -> list
     return value
 
 
-def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
-    """All replications, aggregated in trial-index order regardless of workers.
+def run_trials(config: ExperimentConfig, workers: int = 1) -> np.ndarray:
+    """All replications: one `RESULT_ROW` array, shape (replications, len(points)),
+    allocated once and filled in trial-index order regardless of workers.
 
     The trials are cut into `workers` consecutive shares of near-equal size.
     The parent forks one child per share after the first, runs the first share
-    itself, then gathers the children's shares in order, so the error raised is
-    the one a serial run raises. Chunks of consecutive trials are the unit of
-    work within a share. Where os.fork does not exist, every run is serial.
+    itself, then copies the children's arrays into their slices in order, so the
+    error raised is the one a serial run raises. Chunks of consecutive trials are
+    the unit of work within a share. Where os.fork does not exist, every run is serial.
     """
     reps = config.replications
+    try:
+        trials = np.empty((reps, len(config.points)), RESULT_ROW)
+    except MemoryError as exc:
+        raise MemoryError(f"replications: out of memory for the results of {reps} "
+                          f"trials ({exc})") from exc
     workers = max(1, min(workers, reps)) if hasattr(os, "fork") else 1
     nodes = sum(config.points if config.fresh_paths_per_n else (config.n_max,))
     size = max(1, _CHUNK_NODES // (nodes * (config.steps + 1)))
@@ -423,9 +407,9 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
             for share in shares[1:]:
                 pid, pipe = _fork_share(config, share, size)
                 children[pid] = pipe
-            trials = _run_share(config, shares[0], size)
+            _run_share(config, shares[0], size, trials[:len(shares[0])])
             for pid, share in zip(list(children), shares[1:]):
-                trials += _share_result(children, pid, share)
+                trials[share.start:share.stop] = _share_result(children, pid, share)
             return trials
         finally:
             for pid, pipe in children.items():
@@ -434,30 +418,31 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialResult]:
                 os.waitpid(pid, 0)
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryReport, list[TrialResult]]:
-    """Replicated experiment; summary of final (N = n_max eval point) errors.
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryReport, np.ndarray]:
+    """Replicated experiment: the summary of final (last eval point) errors, and the trials.
 
     Raises DegenerateStatisticsError or DivergenceError where a trial has no
     final estimate, or where the errors' mean or spread leaves the float range,
     rather than report a NaN or infinite summary."""
     start = time.perf_counter()
     trials = run_trials(config, workers)
-    errors = [t.final_error(config.theta0) for t in trials]
-    failed = [t for t, err in zip(trials, errors) if math.isnan(err)]
-    if failed:
-        vanished = sum(not t.d_stats[-1] > 0.0 for t in failed)
+    final, theta0 = trials[:, -1], config.theta0
+    with np.errstate(over="ignore"):  # an infinite error is refused below
+        errors = np.abs(final["estimate"] - theta0)
+    failed = np.flatnonzero(np.isnan(errors))
+    if failed.size:
+        vanished = np.count_nonzero(~(final["d_n"][failed] > 0.0))
         raise (DegenerateStatisticsError if vanished else DivergenceError)(
-            f"the estimate at N = {config.points[-1]} is undefined in {len(failed)} of "
+            f"the estimate at N = {config.points[-1]} is undefined in {failed.size} of "
             f"{len(trials)} trials (D_N <= 0 in {vanished}, a non-finite statistic or "
-            f"iterate in {len(failed) - vanished}); the summary would be NaN")
+            f"iterate in {failed.size - vanished}); the summary would be NaN")
     with np.errstate(all="ignore"):
         mean, std = summarize(errors)
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise DivergenceError(f"the estimation errors |theta - theta0| leave the float "
-                              f"range (theta0 = {config.theta0})")
-    covered = [t.covers(config.theta0) for t in trials]
-    coverage = float(np.mean(covered))
-    omega_failed = sum(not t.omega[-1] for t in trials)
+                              f"range (theta0 = {theta0})")
+    coverage = float(np.mean((final["aci_lower"] <= theta0) & (theta0 <= final["aci_upper"])))
+    omega_failed = int((~final["omega"]).sum())
     seconds = time.perf_counter() - start
     report = SummaryReport(mean_error=mean, std_error=std, coverage=coverage,
                            seconds=seconds, n_trials=len(trials), omega_failed=omega_failed)
@@ -478,11 +463,10 @@ def threshold_sweep(
         raise ValueError("n_fixed must lie in 1..n_max")
     start = time.perf_counter()
     base = replace(config, eval_points=(n_fixed,), d_threshold=0.0)
-    trials = run_trials(base, workers)
+    rows = run_trials(base, workers)[:, 0]
     theta0 = config.theta0
     # Omega-gated raw values and their D_N statistics at the fixed prefix size.
-    gated = np.array([t.estimates[0] if t.omega[0] else 0.0 for t in trials])
-    d_stats = np.array([t.d_stats[0] for t in trials])
+    gated, d_stats = np.where(rows["omega"], rows["estimate"], 0.0), rows["d_n"]
     per_threshold = []
     for d in thresholds:
         vals = np.where(d_stats >= d, gated, 0.0)
@@ -490,7 +474,7 @@ def threshold_sweep(
     errors = [err for _, err in per_threshold]
     seconds = time.perf_counter() - start
     return SummaryReport(mean_error=float(np.mean(errors)), std_error=float(np.std(errors)),
-                         coverage=float("nan"), seconds=seconds, n_trials=len(trials),
+                         coverage=float("nan"), seconds=seconds, n_trials=len(rows),
                          per_threshold=per_threshold)
 
 

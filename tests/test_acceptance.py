@@ -210,7 +210,7 @@ def test_criterion_6_consistency_rate():
                            eval_points=(10, 40, 160))
     trials = run_trials(cfg, workers=WORKERS)
     log_n = np.log([10.0, 40.0, 160.0])
-    slopes = [np.polyfit(log_n, np.log(np.abs(t.estimates - cfg.theta0)), 1)[0]
+    slopes = [np.polyfit(log_n, np.log(np.abs(t["estimate"] - cfg.theta0)), 1)[0]
               for t in trials]
     slope = float(np.median(slopes))
     ok = -0.7 <= slope <= -0.3

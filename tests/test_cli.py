@@ -70,6 +70,19 @@ def test_range_error_names_field(tmp_path):
         parse_config(path)
 
 
+# Each entry of eval_points takes the integer keys' rule: no float, no bool.
+@pytest.mark.parametrize("points", ["[3.7, 10.2]", "[true, 5]"], ids=["floats", "bool"])
+def test_eval_points_entries_must_be_integers(tmp_path, capsys, points):
+    path = write_config(tmp_path, f"model: model2\nH: 0.7\neval_points: {points}\n")
+    with pytest.raises(ConfigError, match="^eval_points: "):
+        parse_config(path)
+    assert run_cli("experiment", "--config", path, "--out", str(tmp_path / "out"),
+                   "--workers", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eval_points: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_file(tmp_path):
     path = write_config(tmp_path, "model: [unclosed\n")
     with pytest.raises(ConfigError):
@@ -395,6 +408,19 @@ def test_unallocatable_grid_exit_code(tmp_path, capsys, workers):
     assert err.startswith("error: steps: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unallocatable_results_exit_code(tmp_path, capsys, workers):
+    # 10^9 trials of 50 packed result rows take 1.50 TiB: run_trials asks for its
+    # result array before any trial runs, and the request fails at once.
+    code = run_cli("experiment", "--set", "model=model2", "--set", "H=0.7",
+                   "--set", "replications=1000000000", "--out", str(tmp_path),
+                   "--workers", workers)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: replications: ") and err.count("\n") == 1
+    assert "1.50 TiB" in err
+
+
 # The edges of each --set key's range: zero, the smallest and largest floats of
 # either sign, non-finite strings, H at and just inside its bounds, and custom
 # drift coefficients. Size keys stay small or invalid, so that
@@ -540,13 +566,35 @@ def test_custom_model_summary_cell_is_quoted(tmp_path):
     assert row[0] == "custom:-1,0,1,0" and text.splitlines()[1].startswith('"custom:-1,0,1,0",')
 
 
+def strict_json(path):
+    """The JSON file at path, refusing the NaN and Infinity that RFC 8259 has not."""
+    def refuse(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_experiment_json_format(tmp_path):
     code = run_cli("experiment", *common_args(tmp_path), "--format", "json")
     assert code == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = strict_json(tmp_path / "summary.json")
     assert summary["replications"] == 2
-    traj = json.loads((tmp_path / "trajectories.json").read_text())
+    traj = strict_json(tmp_path / "trajectories.json")
     assert len(traj["trials"]) == 2
+
+
+def test_json_writes_null_for_nan_rows(tmp_path):
+    # The sign-changing drift leaves 5 NaN rows at x0 = 1, 3 numbers each.
+    code = run_cli("experiment", "--set", "model=custom:-1,0,1,0", "--set", "H=0.7",
+                   "--set", "T=1", "--set", "sigma=1", "--set", "n_max=20",
+                   "--set", "replications=20", "--set", "x0=1", "--seed", "0",
+                   "--workers", "1", "--format", "json", "--out", str(tmp_path))
+    assert code == 0
+    trials = strict_json(tmp_path / "trajectories.json")["trials"]
+    cells = [v for t in trials for key in ("estimate", "aci_lower", "aci_upper") for v in t[key]]
+    assert cells.count(None) == 15
+    assert all(v is None or math.isfinite(v) for v in cells)
+    assert math.isfinite(strict_json(tmp_path / "summary.json")["mean_error"])
 
 
 def test_seventeen_digit_round_trip(tmp_path):

@@ -51,29 +51,27 @@ def test_trial_determinism():
     cfg = model2_config()
     a = run_trial(cfg, 3)
     b = run_trial(cfg, 3)
-    assert np.array_equal(a.estimates, b.estimates)
-    assert np.array_equal(a.aci_lower, b.aci_lower)
-    assert np.array_equal(a.d_stats, b.d_stats)
+    assert np.array_equal(a["estimate"], b["estimate"])
+    assert np.array_equal(a["aci_lower"], b["aci_lower"])
+    assert np.array_equal(a["d_n"], b["d_n"])
     c = run_trial(cfg, 4)
-    assert not np.array_equal(a.estimates, c.estimates)
+    assert not np.array_equal(a["estimate"], c["estimate"])
 
 
 def test_trial_shapes_and_errors():
     cfg = model2_config(n_max=7)
     t = run_trial(cfg, 0)
-    assert t.ns.tolist() == list(range(1, 8))
-    assert t.estimates.shape == (7,)
-    assert t.final_error(cfg.theta0) >= 0.0
-    assert np.isfinite(t.estimates).all()
-    assert t.omega.all()
+    assert t.shape == (7,) and t.dtype == estimators.FBM_ROW
+    assert np.isfinite(t["estimate"]).all()
+    assert t["omega"].all()
 
 
 def test_constant_drift_trajectory_is_identity_statistic():
     # b constant: the correction term vanishes and each prefix estimate is I_N.
     cfg = model2_config(model="custom:2", n_max=3, replications=1)
     t = run_trial(cfg, 0)
-    assert np.isfinite(t.estimates).all()
-    assert np.all(t.r_n == 0.0)
+    assert np.isfinite(t["estimate"]).all()
+    assert np.all(t["r_n"] == 0.0)
 
 
 def test_largest_eval_point_below_n_max_builds_no_taylor_table(monkeypatch):
@@ -86,11 +84,11 @@ def test_largest_eval_point_below_n_max_builds_no_taylor_table(monkeypatch):
     monkeypatch.setattr(FbmEstimatorCache, "_taylor",
                         property(lambda self: pytest.fail("the Taylor table was built")))
     t = run_trial(cfg, 0)
-    assert t.ns.tolist() == [5]
-    assert t.estimates[0] == want.theta_tilde
-    assert (t.aci_lower[0], t.aci_upper[0]) == want.aci[:2]
-    assert (t.d_stats[0], t.r_n[0]) == (want.d_n, want.r_n)
-    assert t.omega[0] == want.omega_holds
+    assert t.shape == (1,)
+    assert t["estimate"][0] == want.theta_tilde
+    assert (t["aci_lower"][0], t["aci_upper"][0]) == want.aci[:2]
+    assert (t["d_n"][0], t["r_n"][0]) == (want.d_n, want.r_n)
+    assert t["omega"][0] == want.omega_holds
 
 
 def test_trial_solve_skips_the_residual_sweep(monkeypatch):
@@ -108,7 +106,8 @@ def test_trial_solve_skips_the_residual_sweep(monkeypatch):
 
     monkeypatch.setattr(estimators, "_phi_factorized", phi_factorized)
     t = run_trial(cfg, 0)
-    assert t.r_n[0] == want.r_n
+    assert (t["r_n"][0], t["iterations"][0]) == (want.r_n, want.iterations)
+    assert np.isnan(t["residual"][0])
     assert want.iterations > 1 and len(calls) == want.iterations
 
 
@@ -140,11 +139,8 @@ def test_workers_do_not_change_results(forks, replications, workers):
     assert forks == []
     parallel = run_trials(cfg, workers=workers)
     assert len(forks) == min(workers, replications) - 1
-    assert len(parallel) == replications
-    for a, b in zip(serial, parallel):
-        assert a.trial_index == b.trial_index
-        assert np.array_equal(a.estimates, b.estimates)
-        assert np.array_equal(a.aci_upper, b.aci_upper)
+    assert parallel.shape == serial.shape == (replications, len(cfg.points))
+    assert parallel.tobytes() == serial.tobytes()
     assert_no_child_left()
 
 
@@ -161,13 +157,14 @@ def test_pool_workers_run_one_blas_thread(monkeypatch, forks):
         a = np.ones((200, 200))
         a @ a
         tasks = len(os.listdir("/proc/self/task"))
-        seen = np.array([os.getpid(), tasks, get()], dtype=float)
-        return [replace(t, r_n=seen) for t in real(config, indices)]
+        rows = real(config, indices)
+        rows["d_n"][:, :3] = [os.getpid(), tasks, get()]
+        return rows
 
     monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
     trials = run_trials(model2_config(replications=6), workers=3)
     assert get() == before
-    seen = {tuple(map(int, t.r_n)) for t in trials}
+    seen = {tuple(map(int, d_n[:3])) for d_n in trials["d_n"]}
     assert len(forks) == 2
     assert {pid for pid, _, _ in seen} == {parent, *forks}
     # One thread and one BLAS thread in the parent's share and in every child.
@@ -309,8 +306,8 @@ def test_malloc_thresholds_are_left_alone_without_glibc(monkeypatch, fresh_mallo
 def test_run_experiment_single_replication():
     cfg = model2_config(replications=1)
     report, trials = run_experiment(cfg)
-    assert len(trials) == 1
-    assert report.mean_error == trials[0].final_error(cfg.theta0)
+    assert trials.shape == (1, len(cfg.points))
+    assert report.mean_error == abs(trials[0, -1]["estimate"] - cfg.theta0)
     assert report.std_error == 0.0
     assert report.coverage in (0.0, 1.0)
 
@@ -340,7 +337,7 @@ def test_threshold_sweep_endpoints():
     # d = 0: indicator always 1, the Omega-gated error itself.
     trials = run_trials(model2_config(replications=10, n_max=8,
                                       eval_points=(8,)), workers=1)
-    gated = [t.estimates[0] if t.omega[0] else 0.0 for t in trials]
+    gated = [t["estimate"][0] if t["omega"][0] else 0.0 for t in trials]
     expect = float(np.mean([abs(g - cfg.theta0) for g in gated]))
     assert err0 == pytest.approx(expect, rel=1e-12)
     # d beyond every observed D_N: estimator collapses to 0, error = |theta0|.
@@ -373,26 +370,26 @@ def test_bm_mode_runs():
     report, trials = run_experiment(cfg)
     assert math.isfinite(report.mean_error)
     assert report.mean_error < 1.0
-    for t in trials:
-        assert t.omega.all()
-        assert np.isnan(t.r_n).all()
+    assert trials.dtype == montecarlo.RESULT_ROW and trials["omega"].all()
+    # No fixed point is solved: the bm rows hold no R_N.
+    assert run_trial(cfg, 0).dtype == estimators.BM_ROW
 
 
 def test_fresh_paths_mode_differs_but_converges():
     cfg = model2_config(fresh_paths_per_n=True, replications=2)
     t = run_trial(cfg, 0)
     t_reuse = run_trial(model2_config(replications=2), 0)
-    assert np.isfinite(t.estimates).all()
-    assert not np.array_equal(t.estimates, t_reuse.estimates)
+    assert np.isfinite(t["estimate"]).all()
+    assert not np.array_equal(t["estimate"], t_reuse["estimate"])
     # Both sampling conventions give the same prefix-1 value: the first bundle
     # drawn from the trial RNG starts with the same single path.
-    assert t.estimates[0] == pytest.approx(t_reuse.estimates[0])
+    assert t["estimate"][0] == pytest.approx(t_reuse["estimate"][0])
 
 
 def test_block_correlation_config():
     cfg = model2_config(n_max=10, corr_block=5, corr_rho=0.8, replications=2)
     t = run_trial(cfg, 0)
-    assert np.isfinite(t.estimates[-1])
+    assert np.isfinite(t["estimate"][-1])
 
 
 def test_dependence_degrades_rate():
@@ -401,7 +398,7 @@ def test_dependence_degrades_rate():
     cfg = model2_config(n_max=50, replications=40, seed=8,
                         corr_block=50, corr_rho=0.9, eval_points=(10, 50))
     trials = run_trials(cfg, workers=1)
-    errs = np.abs(np.array([t.estimates for t in trials]) - cfg.theta0)
+    errs = np.abs(trials["estimate"] - cfg.theta0)
     assert errs[:, 1].mean() > 0.5 * errs[:, 0].mean()
 
 
@@ -414,7 +411,7 @@ def test_trial_permutation_invariance(perm_seed):
     shuffled = {int(i): run_trial(cfg, int(i)) for i in order}
     straight = {i: run_trial(cfg, i) for i in range(4)}
     for i in range(4):
-        assert np.array_equal(shuffled[i].estimates, straight[i].estimates)
+        assert np.array_equal(shuffled[i]["estimate"], straight[i]["estimate"])
 
 
 # fbm on every prefix, a few eval points with Omega_N enforced, fresh paths
@@ -440,15 +437,16 @@ def test_chunk_size_does_not_change_results(monkeypatch, case):
     for trials_per_chunk in (1, 3, cfg.replications):
         monkeypatch.setattr(montecarlo, "_CHUNK_NODES", trials_per_chunk * nodes)
         runs.append(run_trials(cfg))
-    fields = ("ns", "estimates", "aci_lower", "aci_upper", "omega", "d_stats", "r_n")
-    for one, three, whole in zip(*runs):
-        assert one.trial_index == three.trial_index == whole.trial_index
-        for name in fields:
-            want = getattr(one, name).tobytes()
-            assert getattr(three, name).tobytes() == want == getattr(whole, name).tobytes()
-    assert [t.trial_index for t in runs[0]] == list(range(7))
-    assert runs[0][0].estimates.tobytes() == run_trial(cfg, 0).estimates.tobytes()
-    assert runs[0][0].estimates.tobytes() != runs[0][1].estimates.tobytes()
+    assert runs[0].shape == (7, len(cfg.points))
+    for name in montecarlo.RESULT_ROW.names:
+        want = runs[0][name].tobytes()
+        assert runs[1][name].tobytes() == want == runs[2][name].tobytes()
+    # Every field of the solve rows, R_N and the iteration counts too: the chunk
+    # of seven trials against seven chunks of one.
+    whole = montecarlo._run_chunk(cfg, range(7))
+    for i in range(7):
+        assert whole[i].tobytes() == run_trial(cfg, i).tobytes()
+    assert runs[0][0]["estimate"].tobytes() != runs[0][1]["estimate"].tobytes()
 
 
 def test_shares_run_in_near_equal_chunks(monkeypatch):
@@ -461,14 +459,15 @@ def test_shares_run_in_near_equal_chunks(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
     cfg = model2_config(replications=30, n_max=2, steps=2)
     # A share of 25 trials in chunks of at most six: five of five, not 6, 6, 6, 6, 1.
-    share = montecarlo._run_share(cfg, range(5, 30), 6)
-    assert [t.trial_index for t in share] == list(range(5, 30))
+    share = np.empty((25, len(cfg.points)), montecarlo.RESULT_ROW)
+    montecarlo._run_share(cfg, range(5, 30), 6, share)
     assert ranges == [(5, 10), (10, 15), (15, 20), (20, 25), (25, 30)]
+    assert share.tobytes() == run_trials(cfg)[5:].tobytes()
     # A run of ten trials in chunks of at most three: 2, 3, 2, 3, not 3, 3, 3, 1.
     ranges.clear()
     cfg = replace(cfg, replications=10)
     monkeypatch.setattr(montecarlo, "_CHUNK_NODES", 3 * cfg.n_max * (cfg.steps + 1))
-    assert [t.trial_index for t in run_trials(cfg)] == list(range(10))
+    assert run_trials(cfg).shape == (10, len(cfg.points))
     assert ranges == [(0, 2), (2, 5), (5, 7), (7, 10)]
 
 
@@ -549,11 +548,23 @@ def test_fresh_correlated_run_factors_each_size_once_per_chunk(monkeypatch):
         assert all(sizes.count(n) <= chunks for n in points)
 
 
-@pytest.mark.parametrize("mode", ["fbm", "bm"])
-def test_trial_results_hold_no_structured_rows(mode):
-    cfg = model2_config(replications=3, **(dict(hurst=0.5, mode="bm") if mode == "bm" else {}))
-    for trial in run_trials(cfg):
-        for name, value in vars(trial).items():
-            while isinstance(value, np.ndarray):
-                assert value.dtype.names is None, name
-                value = value.base
+_MODES = {"fbm": {}, "bm": dict(hurst=0.5, mode="bm")}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_run_trials_keeps_no_solve_rows_alive(mode, workers):
+    # One packed array that owns its memory: no view of a chunk's solve rows.
+    trials = run_trials(model2_config(replications=3, **_MODES[mode]), workers=workers)
+    assert trials.base is None
+    assert trials.dtype == montecarlo.RESULT_ROW and trials.dtype.itemsize == 33
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_run_trials_rows_are_the_trials_solve_rows(mode):
+    cfg = model2_config(replications=4, **_MODES[mode])
+    trials, names = run_trials(cfg), list(montecarlo.RESULT_ROW.names)
+    for i in range(cfg.replications):
+        want = run_trial(cfg, i)[names]
+        for name in names:
+            assert trials[i][name].tobytes() == want[name].tobytes(), (i, name)
