@@ -17,13 +17,31 @@ checkouts, run this script against each and diff the outputs:
     PYTHONPATH=../parent/src python3 scripts/output_digests.py > parent.txt
     diff parent.txt change.txt
 
+`--keep DIR` writes each case's files to DIR/<case>/w<workers>/, with its
+stdout and stderr beside them as w<workers>.stdout and w<workers>.stderr.
+`--against DIR` compares each run with the copy kept under DIR instead of
+printing digests: one line per file (or stream) whose bytes differ,
+
+    <case> w<workers> <file> max_rel <x>
+
+where x is the largest relative difference over its numbers (CSV cells and
+JSON numbers), or `<file> mismatch` where anything but a number differs, NaN
+and null included. To see how far a change moves the numbers:
+
+    PYTHONPATH=../parent/src python3 scripts/output_digests.py --keep parent-out
+    PYTHONPATH=src python3 scripts/output_digests.py --against parent-out
+
 Usage: python3 scripts/output_digests.py [--seed SEED] [--workers 1,2] [--case NAME ...]
+                                         [--keep DIR] [--against DIR]
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import sys
 import tempfile
 import warnings
@@ -120,7 +138,8 @@ def _sha(data: bytes) -> str:
 
 def run_case(argv: list[str], out: Path) -> list[tuple[str, str]]:
     """(what, value) pairs of one in-process call: the exit, the sha256 of stdout
-    and stderr, and the sha256 of each file written under out."""
+    and stderr, and the sha256 of each file written under out. The streams are
+    kept beside out, as out.stdout and out.stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings(record=True) as caught:
@@ -131,10 +150,79 @@ def run_case(argv: list[str], out: Path) -> list[tuple[str, str]]:
             code = f"raised {type(exc).__name__}"
     for w in caught:
         stderr.write(f"{w.category.__name__}: {w.message}\n")
+    for stream, text in (("stdout", stdout), ("stderr", stderr)):
+        out.with_name(f"{out.name}.{stream}").write_text(text.getvalue(), encoding="utf-8")
     lines = [("exit", code), ("stdout", _sha(stdout.getvalue().encode())),
              ("stderr", _sha(stderr.getvalue().encode()))]
     files = sorted(p for p in out.rglob("*") if p.is_file())
     return lines + [(p.relative_to(out).as_posix(), _sha(p.read_bytes())) for p in files]
+
+
+def _cells(text: str) -> list:
+    """The leaves of a JSON text in order, or else the cells of a CSV text:
+    numbers as floats (NaN for null or "nan"), anything else as a string."""
+    try:
+        return _leaves(json.loads(text))
+    except ValueError:
+        return [_number(cell) for row in csv.reader(io.StringIO(text)) for cell in row]
+
+
+def _leaves(node) -> list:
+    if isinstance(node, dict):
+        return [leaf for pair in node.items() for item in pair for leaf in _leaves(item)]
+    if isinstance(node, list):
+        return [leaf for item in node for leaf in _leaves(item)]
+    if node is None:
+        return [math.nan]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [float(node)]
+    return [str(node)]
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def max_rel(old: str, new: str) -> float | None:
+    """The largest |a - b| / max(|a|, |b|) over the numbers of two texts, or None
+    where their cells differ otherwise: in count, in a string, or in where NaN is."""
+    a, b = _cells(old), _cells(new)
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if isinstance(x, str) or isinstance(y, str):
+            if x != y:
+                return None
+        elif math.isnan(x) or math.isnan(y):
+            if not (math.isnan(x) and math.isnan(y)):
+                return None
+        elif x != y:
+            if math.isinf(x) or math.isinf(y):
+                return None
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def compare(out: Path, kept: Path) -> list[str]:
+    """'<file> max_rel <x>' or '<file> mismatch' for each file of out, or stream
+    beside it, whose bytes differ from its copy under kept."""
+    pairs = [(stream, *(d.with_name(f"{d.name}.{stream}") for d in (out, kept)))
+             for stream in ("stdout", "stderr")]
+    names = sorted({p.relative_to(root).as_posix() for root in (out, kept) if root.is_dir()
+                    for p in root.rglob("*") if p.is_file()})
+    pairs += [(name, out / name, kept / name) for name in names]
+    lines = []
+    for name, new, old in pairs:
+        if not (new.is_file() and old.is_file()):
+            lines.append(f"{name} mismatch")
+        elif new.read_bytes() != old.read_bytes():
+            rel = max_rel(old.read_text(encoding="utf-8"), new.read_text(encoding="utf-8"))
+            lines.append(f"{name} mismatch" if rel is None else f"{name} max_rel {rel:.3g}")
+    return lines
 
 
 def main(args: list[str] | None = None) -> int:
@@ -143,9 +231,16 @@ def main(args: list[str] | None = None) -> int:
     ap.add_argument("--workers", default="1,2", help="comma-separated worker counts")
     ap.add_argument("--case", action="append", choices=sorted(CASES), default=None,
                     help="run only this case (repeatable; default: all)")
+    ap.add_argument("--keep", type=Path, default=None,
+                    help="write each case's files to DIR/<case>/w<workers>/")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="print how each written file differs from its copy kept under DIR")
     opts = ap.parse_args(args)
+    if opts.keep and opts.keep.exists() and any(opts.keep.iterdir()):
+        ap.error(f"--keep {opts.keep}: the directory must be empty or absent")
     names = opts.case or list(CASES)
     with tempfile.TemporaryDirectory() as tmp:
+        root = opts.keep or Path(tmp)
         # The bundle "estimate-input" reads, written whether or not "simulate" is run.
         bundle_dir = Path(tmp, "bundle")
         run_case([*CASES["simulate"], "--seed", str(opts.seed), "--workers", "1"], bundle_dir)
@@ -154,9 +249,13 @@ def main(args: list[str] | None = None) -> int:
                 argv = [*CASES[name], "--seed", str(opts.seed), "--workers", workers]
                 if name == "estimate-input":
                     argv += ["--input", str(bundle_dir / "bundle_0000.csv")]
-                out = Path(tmp, f"{name}-w{workers}")
-                for what, value in run_case(argv, out):
-                    print(f"{name} w{workers} {what} {value}", flush=True)
+                out = root / name / f"w{workers}"
+                out.parent.mkdir(parents=True, exist_ok=True)
+                lines = [f"{what} {value}" for what, value in run_case(argv, out)]
+                if opts.against:
+                    lines = compare(out, opts.against / name / f"w{workers}")
+                for line in lines:
+                    print(f"{name} w{workers} {line}", flush=True)
     return 0
 
 

@@ -19,13 +19,20 @@ and are built once per process.
 
 `FbmEstimatorCache.solve(caches, points)` solves all prefixes N in points (the
 Monte Carlo engine: N = 1..n_max) of caches of one config in one vectorized
-Picard iteration, bitwise as `cache.estimates(points)` on each. A proper
-prefix n < N is served from a Taylor table of Phi_N about s0 = I of the full
-bundle: K = 10 moments per path, prefix-summed, built once per cache at the
-cost of about K exact evaluations. A Picard step is then a degree-K Horner
-evaluation, O(K) whatever N and steps are. The table value is used only when a
-bound on its Taylor remainder and rounding is below 1e-13 of it; otherwise, and
-always on the full bundle, the exact sum is: one call per N and step, a gemm per pair.
+Picard iteration, bitwise as `cache.estimates(points)` on each. Each cache
+takes one of two paths, chosen by its data alone:
+- Where b'(X) is the same on every path (any linear drift, such as model2's
+  b(x) = -x, or copies of one path), so is C, and Phi_N of a prefix n is n
+  times one path's sum. The cache keeps that one row and builds no table; a
+  Picard step costs O(steps) `exp` calls and one (1 x steps) @ (steps x steps)
+  product per (cache, N) pair, whatever n is.
+- Otherwise a proper prefix n < N is served from a Taylor table of Phi_N about
+  s0 = I of the full bundle: K = 10 moments per path, prefix-summed, built once
+  per cache at the cost of about K exact evaluations. A Picard step is then a
+  degree-K Horner evaluation, O(K) whatever N and steps are. The table value is
+  used only when a bound on its Taylor remainder and rounding is below 1e-13 of
+  it; otherwise, and always on the full bundle, the exact sum is: one call per
+  N and step, a gemm per pair.
 """
 
 from __future__ import annotations
@@ -238,6 +245,24 @@ def _phi_direct(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> flo
     return float(bp @ e.sum(axis=1))
 
 
+def _phi_rows(s: np.ndarray, bp: np.ndarray, c: np.ndarray, span: np.ndarray, tri: np.ndarray,
+              work: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """One path's sum_{l<j} b'_j tri[j-1, l] e^{s(C_j - C_l)} for each p at s[p], over
+    (P, steps) bp, (P, steps + 1) c and (P,) span(C): `_phi_factorized` of row p alone,
+    or `_phi_direct` where a factor e^{+-sC} would leave the float range."""
+    # An overflow surfaces as a non-finite value, which the Picard iteration reports.
+    with np.errstate(all="ignore"):
+        direct = 0.5 * np.abs(s) * span > _MAX_FACTOR_EXPONENT
+        if not direct.any():
+            return _phi_factorized(s, bp[:, None], c[:, None], tri, work)
+        fit = ~direct
+        values = np.empty(len(s))
+        values[fit] = _phi_factorized(s[fit], bp[fit, None], c[fit, None], tri, work)
+        for p in np.flatnonzero(direct).tolist():
+            values[p] = _phi_direct(s[p], bp[p], c[p], tri)
+        return values
+
+
 def check_omega(
     stats: SufficientStats,
     hurst: HurstParams,
@@ -309,6 +334,17 @@ def iteration_schedule(
     return max(MIN_ITERATIONS, math.ceil(-log_m / math.log(c)))
 
 
+@functools.lru_cache(maxsize=64)
+def _iteration_limits(points: tuple[int, ...], c: float, t_total: float,
+                      sup_norm_b_prime: float, hurst: HurstParams) -> np.ndarray:
+    """The `iteration_schedule` of each N in points, as one read-only array.
+    Memoized: a run solves the same points in every chunk."""
+    limits = np.array([iteration_schedule(n, c, t_total, sup_norm_b_prime, hurst)
+                       for n in points], dtype=np.int64)
+    limits.flags.writeable = False
+    return limits
+
+
 # ---------------------------------------------------------------------------
 # Thresholds.
 # ---------------------------------------------------------------------------
@@ -357,7 +393,12 @@ def _ybar_contributions(b: np.ndarray, bp: np.ndarray, hurst: HurstParams, grid:
 
 class FbmEstimatorCache:
     """Precomputes per-path statistics of a solution bundle once, then serves
-    fixed-point estimates on path prefixes."""
+    fixed-point estimates on path prefixes.
+
+    Where b'(X) is equal on all paths, the cache keeps one row of b'(X) and C
+    (`_one_row`), and every Phi_N it evaluates is n scale times that row's sum:
+    `_phi_factorized`, or `_phi_direct` where a factor e^{+-sC} would overflow.
+    Otherwise it keeps every row and serves proper prefixes from `_taylor`."""
 
     def __init__(self, paths: PathBundle, drift: DriftModel, hurst: HurstParams, sigma: float):
         if hurst.h <= 0.5:
@@ -377,9 +418,14 @@ class FbmEstimatorCache:
             y_i = _ybar_contributions(b[:, 1:], bp[:, 1:], hurst, paths.grid, sigma)
         self._per_path = np.stack([d_i, ib_i, y_i])
         _check_per_path(self._per_path, "b(X)^2 or the antiderivative of b")
+        # Where b'(X) is the same on every path (any linear drift, or copies of one
+        # path), so is C, and Phi_N of n paths is n times one path's sum: keep one row.
+        self._one_row = bool((bp == bp[0]).all())
+        if self._one_row:
+            bp = bp[:1]
         # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
         # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
-        c = np.zeros_like(x)
+        c = np.zeros_like(bp)
         np.cumsum(bp[:, :-1] * dt, axis=1, out=c[:, 1:])
         c_min, c_max = c.min(axis=1), c.max(axis=1)
         self._c = c - 0.5 * (c_min + c_max)[:, None]
@@ -416,9 +462,10 @@ class FbmEstimatorCache:
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N.
 
-        On a proper prefix n < n_paths the sum comes from the Taylor table
-        whenever its certified error bound allows, and from `_phi_exact`
-        otherwise; the full bundle always takes `_phi_exact`.
+        On a cache of one row (b' the same on every path) it is n scale times
+        that row's sum. Otherwise, on a proper prefix n < n_paths the sum comes
+        from the Taylor table whenever its certified error bound allows, and
+        from `_phi_exact` otherwise; the full bundle always takes `_phi_exact`.
         """
         phi = self._phi_pairs([self], np.array([n]), SufficientStats(
             *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
@@ -428,61 +475,88 @@ class FbmEstimatorCache:
     def _phi_pairs(caches, ns: np.ndarray,
                    stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
-        (k, r): its cache's Taylor table where the error bound holds, else the
-        exact sum of that prefix alone."""
+        (k, r): on a cache of one row, n scale times that row's sum; on the
+        others, its cache's Taylor table where the error bound holds, else the
+        exact sum of that prefix alone. Each pair gets the bits it gets alone."""
         n_paths, tri = caches[0].paths.n_paths, caches[0]._tri
         trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
         scale = caches[0]._scale(n, stats.d_n)
-        table_row = trial * n_paths + n - 1
-        proper = bool((ns < n_paths).any())
-        if proper:
-            # The tables end to end; a cache without one gets NaN centres, so no
-            # bound holds on its pairs and all take the exact sum.
-            tables = [cache._taylor or (np.nan, np.zeros((n_paths, _TAYLOR_ORDER)),
-                                        np.zeros(n_paths)) for cache in caches]
-            s0, moments, weights = (np.concatenate(a) for a in zip(*(
-                (np.full(n_paths, s), m, w) for s, m, w in tables)))
-        # Stacked arrays and buffers for one exact call per prefix size and step.
-        bp, c = (np.stack([getattr(cache, a) for cache in caches]) for a in ("_bp", "_c"))
-        reach = np.concatenate([cache._c_reach for cache in caches])
-        work = [np.empty(bp.size), np.empty(bp.size)]
+        # Each kind of cache is stacked apart; slot[t] is cache t's place in its kind.
+        one_row = np.array([cache._one_row for cache in caches])
+        slot = np.where(one_row, np.cumsum(one_row), np.cumsum(~one_row)) - 1
+        single = [cache for cache in caches if cache._one_row]
+        full = [cache for cache in caches if not cache._one_row]
+        if single:
+            row_bp, row_c, row_span = (np.concatenate([getattr(cache, a) for cache in single])
+                                       for a in ("_bp", "_c", "_c_span"))
+            row_scale = n * scale
+            row_work = [np.empty(len(single) * len(ns) * tri.shape[0]) for _ in range(2)]
+
+            def single_phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+                # One product per pair, so each gets the bits it gets alone.
+                t = slot[trial[k]]
+                return row_scale[k] * _phi_rows(r + stats.i_n[k], row_bp[t], row_c[t],
+                                                row_span[t], tri, row_work)
+        if full:
+            table_row = slot[trial] * n_paths + n - 1
+            proper = bool((ns < n_paths).any())
+            if proper:
+                # The tables end to end; a cache without one gets NaN centres, so no
+                # bound holds on its pairs and all take the exact sum.
+                tables = [cache._taylor or (np.nan, np.zeros((n_paths, _TAYLOR_ORDER)),
+                                            np.zeros(n_paths)) for cache in full]
+                s0, moments, weights = (np.concatenate(a) for a in zip(*(
+                    (np.full(n_paths, s), m, w) for s, m, w in tables)))
+            # Stacked arrays and buffers for one exact call per prefix size and step.
+            bp, c = (np.stack([getattr(cache, a) for cache in full]) for a in ("_bp", "_c"))
+            reach = np.concatenate([cache._c_reach for cache in full])
+            work = [np.empty(bp.size), np.empty(bp.size)]
+
+            def full_phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+                values = np.full(len(k), np.nan)
+                if proper:
+                    rows = table_row[k]
+                    x = r + stats.i_n[k] - s0[rows]
+                    y = np.abs(x) * reach[rows]
+                    served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n[k] < n_paths))
+                    x, y, rows = x[served], y[served], rows[served]
+                    coeffs = moments[rows]
+                    v = np.zeros(len(served))
+                    for j in range(_TAYLOR_ORDER - 1, -1, -1):
+                        v = v * x + coeffs[:, j]
+                    # Taylor remainder plus the rounding of the binomial moments.
+                    bound = weights[rows] * np.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
+                                                         + _TAYLOR_ORDER * _EPS)
+                    values[served] = np.where(bound <= _TAYLOR_RTOL * np.abs(v),
+                                              scale[k[served]] * v, np.nan)
+                exact = np.flatnonzero(np.isnan(values))
+                for m in np.unique(n[k[exact]]).tolist():
+                    j = exact[n[k[exact]] == m]
+                    e, s = k[j], r[j] + stats.i_n[k[j]]
+                    # As in `_phi_exact`: one factorized sum where no factor can overflow.
+                    fit = 0.5 * np.abs(s) * reach[table_row[e]] <= _MAX_FACTOR_EXPONENT
+                    # All caches in turn (k ascends), as on most steps: no gathered copy.
+                    t = slot[trial[e[fit]]] if fit.sum() < len(full) else slice(None)
+                    values[j[fit]] = scale[e[fit]] * _phi_factorized(s[fit], bp[t, :m], c[t, :m],
+                                                                     tri, work)
+                    for jj, ee in zip(j[~fit], e[~fit]):
+                        prefix = SufficientStats(stats.d_n[ee], stats.i_n[ee], stats.m_n[ee])
+                        values[jj] = caches[trial[ee]]._phi_exact(m, prefix)(r[jj])
+                return values
 
         def phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-            values = np.full(len(k), np.nan)
-            if proper:
-                rows = table_row[k]
-                x = r + stats.i_n[k] - s0[rows]
-                y = np.abs(x) * reach[rows]
-                served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n[k] < n_paths))
-                x, y, rows = x[served], y[served], rows[served]
-                coeffs = moments[rows]
-                v = np.zeros(len(served))
-                for j in range(_TAYLOR_ORDER - 1, -1, -1):
-                    v = v * x + coeffs[:, j]
-                # Taylor remainder plus the rounding of the binomial moments.
-                bound = weights[rows] * np.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
-                                                     + _TAYLOR_ORDER * _EPS)
-                values[served] = np.where(bound <= _TAYLOR_RTOL * np.abs(v),
-                                          scale[k[served]] * v, np.nan)
-            exact = np.flatnonzero(np.isnan(values))
-            for m in np.unique(n[k[exact]]).tolist():
-                j = exact[n[k[exact]] == m]
-                e, s = k[j], r[j] + stats.i_n[k[j]]
-                # As in `_phi_exact`: one factorized sum where no factor can overflow.
-                fit = 0.5 * np.abs(s) * reach[table_row[e]] <= _MAX_FACTOR_EXPONENT
-                # All caches in turn (k ascends), as on most steps: no gathered copy.
-                t = trial[e[fit]] if fit.sum() < len(caches) else slice(None)
-                values[j[fit]] = scale[e[fit]] * _phi_factorized(s[fit], bp[t, :m], c[t, :m],
-                                                                 tri, work)
-                for jj, ee in zip(j[~fit], e[~fit]):
-                    prefix = SufficientStats(stats.d_n[ee], stats.i_n[ee], stats.m_n[ee])
-                    values[jj] = caches[trial[ee]]._phi_exact(m, prefix)(r[jj])
+            values, on_one_row = np.empty(len(k)), one_row[trial[k]]
+            if on_one_row.any():
+                values[on_one_row] = single_phi(k[on_one_row], r[on_one_row])
+            if not on_one_row.all():
+                values[~on_one_row] = full_phi(k[~on_one_row], r[~on_one_row])
             return values
 
         return phi
 
     def _phi_exact(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
-        """Phi_N as the factorized sum over the first n paths.
+        """Phi_N as the factorized sum over the first n paths, or on a cache of
+        one row as n times that row's sum.
 
         A path whose factors e^{+-sC_i} would leave the float range is summed
         pair by pair instead; the result is the same sum either way.
@@ -493,6 +567,8 @@ class FbmEstimatorCache:
 
         def _phi(r: float) -> float:
             s = r + i_n
+            if self._one_row:  # as `_phi_pairs` evaluates it
+                return float(n * scale * _phi_rows(np.array([s]), bp, c, span, tri)[0])
             # An overflow surfaces as a non-finite value, which fixed_point reports.
             with np.errstate(all="ignore"):
                 direct = 0.5 * abs(s) * span > _MAX_FACTOR_EXPONENT
@@ -578,8 +654,8 @@ class FbmEstimatorCache:
             live_stats = SufficientStats(stats.d_n[live], stats.i_n[live], stats.m_n[live])
             omega[live] = check_omega(live_stats, first.hurst, first.sigma, sup,
                                       first.t_total, c)
-        limits = np.tile([max_iters or iteration_schedule(m, c, first.t_total, sup, first.hurst)
-                          for m in ns.tolist()], len(caches))
+        limits = np.tile(np.full(len(ns), max_iters) if max_iters else _iteration_limits(
+            tuple(ns.tolist()), c, first.t_total, sup, first.hurst), len(caches))
         r, iterations = np.zeros(len(n)), np.zeros(len(n), dtype=np.int64)
         residuals = np.full(len(n), np.nan)
         k, r_k, limits_k, steps = live, r[live], limits[live], 0

@@ -124,6 +124,24 @@ def test_cli_import_loads_no_pool_yaml_or_random():
 
 
 
+@pytest.mark.parametrize("command", ["coverage", "experiment"])
+def test_workers_keep_every_byte_at_400_steps_with_one_blas_thread(tmp_path, command):
+    # The --workers promise as README states it, on a grid whose products
+    # OpenBLAS would thread (criterion 10 runs 20 steps, where none is): with
+    # one BLAS thread, the worker count changes no byte of any written file.
+    env = dict(os.environ, PYTHONPATH=str(Path(fpdrift.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    argv = [command, "--set", "model=model1", "--set", "H=0.9", "--set", "steps=400",
+            "--set", "n_max=50", "--set", "replications=2", "--seed", "7"]
+    for workers in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "fpdrift.cli", *argv, "--workers", workers,
+                        "--out", str(tmp_path / f"w{workers}")], env=env, check=True)
+    files = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "w2").iterdir()) and files
+    for name in files:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
 def test_in_process_calls_reuse_the_parser(tmp_path, monkeypatch):
     # Two in-process calls on the one cached parser write what two fresh
     # interpreters write, and the --workers default is resolved on each call.
@@ -489,10 +507,12 @@ def test_edge_values_end_in_a_documented_exit_code(run):
             (argv, cells)
 
 
-# sha256 of the files these runs wrote before the Omega_N warning existed.
+# sha256 of the files these runs write; the warning goes to stderr only. Pinned
+# again when model2's Phi_N became n times one path's sum: every number moved
+# by at most rel 3.5e-16 from the files first pinned, before the warning existed.
 OMEGA_WARNING_FILES = {
-    "summary.csv": "d5714c7906c6a15ba2ac76344273ca10bad41a8d2aca713a8c212a27c53b26f2",
-    "trajectories.csv": "6d7d7803e736ccb44249acfaa4706df9922d809a01b08adc30cb6295273875a3",
+    "summary.csv": "3e6c5c6263004cadd571bc92c25574d8cb8e442d856b83dc3b0518a065767ef7",
+    "trajectories.csv": "1d9f1f498bc97a70abec68aad8259ea3ccbc0d0a07a94aeb146473e29d7b67ca",
 }
 
 

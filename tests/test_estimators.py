@@ -336,6 +336,19 @@ def test_iteration_schedule_memoized():
     assert iteration_schedule.cache_info().hits == hits + 1
 
 
+def test_iteration_limits_memoized_per_points():
+    from fpdrift.estimators import _iteration_limits
+
+    hp, points = HurstParams(h=0.7), (1, 5, 17, 200)
+    limits = _iteration_limits(points, 0.5, 0.75, 1.0, hp)
+    assert limits.tolist() == [iteration_schedule(n, 0.5, 0.75, 1.0, hp) for n in points]
+    assert limits.dtype == np.int64 and not limits.flags.writeable
+    hits = _iteration_limits.cache_info().hits
+    assert _iteration_limits(points, 0.5, 0.75, 1.0, HurstParams(h=0.7)) is limits
+    assert _iteration_limits.cache_info().hits == hits + 1
+    assert _iteration_limits.cache_info().maxsize is not None
+
+
 def test_normal_quantile_accuracy():
     ndtri = pytest.importorskip("scipy.special").ndtri
     for p in [1e-9, 1e-4, 0.01, 0.025, 0.2, 0.5, 0.8, 0.975, 0.99, 1 - 1e-6]:
@@ -445,15 +458,24 @@ def test_taylor_table_matches_exact_sum(model, seed, n, h, rs):
         except DivergenceError:
             pass  # the sign-changing drift need not give a contraction
         for r in points:
-            assert phi(r) == pytest.approx(exact(r), rel=1e-12, abs=0.0)
-    assert cache._taylor is not None
+            if cache._one_row:  # no table: both are n times one row's sum
+                assert phi(r) == exact(r)
+            else:
+                assert phi(r) == pytest.approx(exact(r), rel=1e-12, abs=0.0)
+    # b' = -1 on every model2 path: its cache keeps one row and builds no table.
+    assert cache._one_row == (name == "model2")
+    if cache._one_row:
+        assert "_taylor" not in vars(cache)
+    else:
+        assert cache._taylor is not None
 
 
 def test_taylor_table_serves_proper_prefixes():
     # The Picard solves of every proper prefix, as `experiment` runs them:
     # the table serves most evaluations, within rel 1e-12 of the exact sum.
-    bundle = solution_bundle(model="model2", h=0.7, n=40, seed=4)
-    cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.7), 1.0)
+    # model1 at its preset horizon and volatility.
+    bundle = solution_bundle(model="model1", h=0.7, horizon=0.1, sigma=0.25, n=40, seed=4)
+    cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.7), 0.25)
     served = evaluated = 0
     for m in range(1, 40):
         stats = cache.stats(m)
@@ -490,19 +512,23 @@ def test_taylor_table_falls_back_near_a_root():
             assert phi(r) == pytest.approx(exact(r), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("model", ["model1", "model2"])
+@pytest.mark.parametrize("model", ["model1", "sign-changing"])
 def test_taylor_table_falls_back_far_from_centre(model):
     h, sigma = 0.8, 0.5
-    bundle = solution_bundle(model=model, h=h, sigma=sigma, horizon=0.5, steps=12, n=3,
+    # (drift, x0, iterates): on the sign-changing drift C grows, so e^{s(C_j - C_l)}
+    # would overflow at r = 2000.
+    name, x0, rs = {"model1": ("model1", 5.0, (-40.0, 25.0, 2000.0)),
+                    "sign-changing": ("custom:-1,0,1,0", 0.3, (-40.0, 25.0, 500.0))}[model]
+    bundle = solution_bundle(model=name, h=h, sigma=sigma, horizon=0.5, x0=x0, steps=12, n=3,
                              seed=7)
     t, T = bundle.grid.nodes, bundle.grid.horizon
-    drift = drift_model(model)
+    drift = drift_model(name)
     cache = FbmEstimatorCache(bundle, drift, HurstParams(h=h), sigma)
     stats = cache.stats(2)
     phi, exact = cache.phi(2, stats), cache._phi_exact(2, stats)
     assert cache._taylor is not None
     # |s - s0| span(C) is far past where ten Taylor terms reach 1e-13.
-    for r in (-40.0, 25.0, 2000.0):
+    for r in rs:
         assert phi(r) == exact(r)
         want = oracle_phi(r, bundle.values[:2], t, T, drift.b_prime, h, sigma,
                           stats.d_n, stats.i_n)
@@ -510,8 +536,8 @@ def test_taylor_table_falls_back_far_from_centre(model):
 
 
 def test_full_bundle_never_builds_the_table():
-    bundle = solution_bundle(model="model2", h=0.7, n=6, seed=2)
-    cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.7), 1.0)
+    bundle = solution_bundle(model="model1", h=0.7, n=6, seed=2)
+    cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.7), 1.0)
     est = cache.estimate(max_iters=30, tol=1e-12)
     assert "_taylor" not in vars(cache)
     stats = cache.stats()
@@ -526,26 +552,63 @@ def test_full_bundle_never_builds_the_table():
 
 def test_taylor_table_skipped_without_finite_centre():
     grid = Grid(horizon=1.0, steps=2)
-    # b(x) = x vanishes along zero paths: D_N = 0, so there is no centre s0.
-    zeros = PathBundle(grid=grid, values=np.zeros((2, 3)), kind="solution")
-    cache = FbmEstimatorCache(zeros, drift_model("custom:1,0"), HurstParams(h=0.8), 1.0)
+    # b(x) = x - x^3 vanishes along paths at 0 and 1: D_N = 0, so there is no
+    # centre s0. b' is 1 on one path and -2 on the other: two rows.
+    roots = PathBundle(grid=grid, values=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+                       kind="solution")
+    cache = FbmEstimatorCache(roots, drift_model("custom:-1,0,1,0"), HurstParams(h=0.8), 1.0)
     stats = SufficientStats(d_n=1.0, i_n=0.5, m_n=1.0)
     phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
-    assert cache._taylor is None
+    assert not cache._one_row and cache._taylor is None
     for r in (0.0, 0.3):
         assert phi(r) == exact(r)
 
-    # b(x) = -x: D_N = 1/2, I_N = -1599 and span(C) = 1, so the factors
-    # e^{+-s0 C} reach e^{799.5}, past the float range.
-    values = np.array([[1.0, 0.0, 40.0], [1.0, 0.0, 40.0]])
+    # model1 paths at 0 whose last nodes are 2e4 and 3e4: I_N is about 3980
+    # and span(C) = 1, so the factors e^{+-s0 C} reach e^{1990}, past the
+    # float range.
+    values = np.array([[0.0, 0.0, 2e4], [0.0, 0.0, 3e4]])
     bundle = PathBundle(grid=grid, values=values, kind="solution")
-    cache = FbmEstimatorCache(bundle, drift_model("custom:-1,0"), HurstParams(h=0.8), 1.0)
+    cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.8), 1.0)
+    assert cache.stats().i_n == pytest.approx(3980.0, rel=1e-3)
     stats = cache.stats(1)
-    assert stats.i_n == pytest.approx(-1599.0)
     phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
-    assert cache._taylor is None
-    for r in (1599.0, 1599.5, 1600.0):
-        assert phi(r) == exact(r)
+    assert not cache._one_row and cache._taylor is None
+    for s in (0.0, 0.5, 1.0):
+        assert phi(s - stats.i_n) == exact(s - stats.i_n)
+
+
+# ---------------------------------------------------------------------------
+# Linear drifts: b' is the same on every path, so a cache keeps one row.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", ["model2", "custom:-2,1"])
+def test_one_row_phi_matches_oracle(model):
+    from fpdrift.estimators import _MAX_FACTOR_EXPONENT
+
+    h, sigma, n, tol = 0.7, 1.0, 8, 1e-12
+    bundle = solution_bundle(model=model, h=h, sigma=sigma, horizon=0.5, steps=12, n=n, seed=3)
+    t, T = bundle.grid.nodes, bundle.grid.horizon
+    drift, hurst = drift_model(model), HurstParams(h=h)
+    cache = FbmEstimatorCache(bundle, drift, hurst, sigma)
+    assert cache._one_row and cache._bp.shape == (1, 12) and cache._c.shape == (1, 13)
+    rows = cache.estimates(range(1, n + 1), tol=tol)
+    for m in (1, 2, n // 2, n):
+        stats = cache.stats(m)
+        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
+        limit = iteration_schedule(m, 0.5, T, drift.sup_norm_b_prime, hurst)
+        r_star, iterations, residual = fixed_point(phi, limit, tol)
+        # The stacked solve is the scalar Picard iteration over phi, bit for bit.
+        assert (rows["r_n"][m - 1], rows["iterations"][m - 1], rows["residual"][m - 1]) \
+            == (r_star, iterations, residual)
+        # Far enough that a factor e^{+-sC} would overflow: the pair-by-pair sum.
+        r_far = 1500.0 / cache._c_span[0]
+        assert 0.5 * abs(r_far + stats.i_n) * cache._c_span[0] > _MAX_FACTOR_EXPONENT
+        for r in (0.0, r_star, r_far):
+            want = oracle_phi(r, bundle.values[:m], t, T, drift.b_prime, h, sigma,
+                              stats.d_n, stats.i_n)
+            assert phi(r) == exact(r)
+            assert phi(r) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert "_taylor" not in vars(cache)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +626,7 @@ SCALAR_SOLVE_CASES = {
     "sign-changing": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30, {}, 4),
     "sign-changing-capped": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30,
                              {"max_iters": 12}, 2),
+    "linear-custom": ("custom:-2,1", 0.7, 0.75, 1.0, 5.0, 2, 30, {}, 0),
 }
 
 
@@ -604,6 +668,9 @@ def test_estimates_match_scalar_solve(case):
                     aci_lower=reported - half, aci_upper=reported + half, ybar=ybar)
         assert dict(zip(rows.dtype.names, row.tolist())) == want  # bitwise, field by field
     assert diverged == want_diverged
+    # A linear drift's cache keeps one row and builds no Taylor table.
+    assert cache._one_row == (name in ("model2", "custom:-2,1"))
+    assert ("_taylor" in vars(cache)) != cache._one_row
 
 
 def test_estimates_nan_rows_where_dn_vanishes():
@@ -683,22 +750,22 @@ def test_picard_counts_pinned(case):
 # ---------------------------------------------------------------------------
 
 def chunk_caches():
-    """Five model2 caches of 40 paths: three with Taylor tables, one whose
-    last path jumps to 2000 (I of the full bundle is about -3100, so the
-    factors e^{+-s0 C} overflow and there is no table, while the proper
-    prefixes are those of the first cache), and one with D_N = 0 throughout.
-    With theta0 = 0.2, I_N is small enough that a table would serve the
-    first Picard steps."""
-    drift, hurst = drift_model("model2"), HurstParams(h=0.7)
-    bundles = [solution_bundle(model="model2", h=0.7, theta0=0.2, n=40, seed=seed)
+    """Five caches of 40 paths: three model1 caches with Taylor tables, a model1
+    cache whose last path jumps to -2e5 (I of the full bundle is about -9600, so
+    the factors e^{+-s0 C} overflow and there is no table, while the proper
+    prefixes are those of the first cache), and a model2 cache of zero paths,
+    with D_N = 0 throughout and one row. With theta0 = 0.2, I_N is small enough
+    that a table would serve the first Picard steps."""
+    drift, hurst = drift_model("model1"), HurstParams(h=0.7)
+    bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(3)]
     jump = bundles[0].values.copy()
     jump[-1] = 0.0
-    jump[-1, -1] = 2000.0
+    jump[-1, -1] = -2e5
     bundles.append(PathBundle(grid=bundles[0].grid, values=jump, kind="solution"))
-    bundles.append(PathBundle(grid=bundles[0].grid, values=np.zeros_like(jump),
-                              kind="solution"))
-    return [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
+    zeros = PathBundle(grid=bundles[0].grid, values=np.zeros_like(jump), kind="solution")
+    return ([FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
+            + [FbmEstimatorCache(zeros, drift_model("model2"), hurst, 1.0)])
 
 
 @pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40), (5, 39)])
@@ -713,7 +780,8 @@ def test_stacked_solve_matches_each_cache(points):
     # prefixes is the exact sum of that prefix.
     caches = chunk_caches()
     FbmEstimatorCache.solve(caches, points)
-    assert [cache._taylor is None for cache in caches] == [False, False, False, True, True]
+    assert "_taylor" not in vars(caches[4])
+    assert [cache._taylor is None for cache in caches[:4]] == [False, False, False, True]
     jump = caches[3]
     for m, row in zip(points, rows[3]):
         if m < 40:
@@ -736,15 +804,15 @@ def test_solve_without_residual_changes_no_other_field(points):
 
 
 def exact_sum_caches():
-    """Four model2 caches of 40 paths whose Picard steps take the exact sum in
+    """Four model1 caches of 40 paths whose Picard steps take the exact sum in
     every way: two plain ones (the full bundle), one whose last path jumps to
-    100 (I of the full bundle is about -7.6, so the table exists but fails its
-    bound on every proper prefix), and one whose last path jumps to 2000 (no
+    2000 (I of the full bundle is about 32, so the table exists but fails its
+    bound on every proper prefix), and one whose last path jumps to -2e5 (no
     table, and the full bundle's factors e^{+-sC} overflow: the direct sum)."""
-    drift, hurst = drift_model("model2"), HurstParams(h=0.7)
-    bundles = [solution_bundle(model="model2", h=0.7, theta0=0.2, n=40, seed=seed)
+    drift, hurst = drift_model("model1"), HurstParams(h=0.7)
+    bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(2)]
-    for top in (100.0, 2000.0):
+    for top in (2000.0, -2e5):
         jump = bundles[0].values.copy()
         jump[-1] = 0.0
         jump[-1, -1] = top
@@ -790,6 +858,28 @@ def test_stacked_exact_sum_matches_each_cache(points):
             assert value == cache._phi_exact(n, prefix)(r)
             if cache is not overflow or n < 40:
                 assert value == factorized_oracle(cache, n, prefix, r)
+
+
+def test_mixed_chunk_gives_each_cache_its_bits_alone():
+    # A model1 cache of copies of one path keeps one row, beside model1 caches
+    # that keep every row and a model2 cache, which keeps one.
+    drift, hurst = drift_model("model1"), HurstParams(h=0.7)
+    bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
+               for seed in range(2)]
+    copies = PathBundle(grid=bundles[0].grid, kind="solution",
+                        values=np.repeat(bundles[1].values[:1], 40, axis=0))
+    model2 = solution_bundle(model="model2", h=0.7, theta0=0.2, n=40, seed=5)
+    caches = [FbmEstimatorCache(bundles[0], drift, hurst, 1.0),
+              FbmEstimatorCache(copies, drift, hurst, 1.0),
+              FbmEstimatorCache(bundles[1], drift, hurst, 1.0),
+              FbmEstimatorCache(model2, drift_model("model2"), hurst, 1.0)]
+    assert [cache._one_row for cache in caches] == [False, True, False, True]
+    settings = dict(c=0.5, d_threshold=2.0, alpha=0.1, tol=1e-12)
+    for points in (range(1, 41), (3, 17, 40)):
+        rows = FbmEstimatorCache.solve(caches, points, **settings)
+        for t, cache in enumerate(caches):
+            assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
+    assert [("_taylor" in vars(cache)) for cache in caches] == [True, False, True, False]
 
 
 def test_stacked_bm_solve_matches_each_cache():

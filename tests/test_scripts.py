@@ -1,5 +1,6 @@
 """The paper-reproduction scripts run end to end and print their tables."""
 
+import json
 import os
 import subprocess
 import sys
@@ -66,3 +67,30 @@ def test_output_digests():
     # Nothing here runs a threaded gemm, so the worker count changes no byte.
     for (case, workers, what), value in digests.items():
         assert digests[case, "w2", what] == value
+
+
+def test_output_digests_against_a_kept_copy(tmp_path):
+    cases = ["--case", "estimate-fbm", "--case", "custom-nan-rows"]
+    kept = tmp_path / "kept"
+    lines = run_script("output_digests.py", *cases, "--keep", str(kept))
+    assert [line.split()[:3] for line in lines][:4] == [
+        ["estimate-fbm", "w1", "exit"], ["estimate-fbm", "w1", "stdout"],
+        ["estimate-fbm", "w1", "stderr"], ["estimate-fbm", "w1", "estimate.json"]]
+    assert (kept / "estimate-fbm" / "w1.stdout").read_text().startswith("{")
+    # The same runs against their kept copy: no file differs.
+    assert run_script("output_digests.py", *cases, "--against", str(kept)) == []
+    # A number moved by a relative 1e-10, and a NaN cell that is no longer NaN.
+    estimate = kept / "estimate-fbm" / "w1" / "estimate.json"
+    record = json.loads(estimate.read_text())
+    record["theta_tilde"] *= 1.0 + 1e-10
+    estimate.write_text(json.dumps(record, indent=2))
+    trajectories = kept / "custom-nan-rows" / "w1" / "trajectories.csv"
+    text = trajectories.read_text()
+    assert ",nan" in text
+    trajectories.write_text(text.replace(",nan", ",0", 1))
+    lines = run_script("output_digests.py", *cases, "--against", str(kept))
+    assert len(lines) == 2
+    case, workers, name, what, rel = lines[0].split()
+    assert (case, workers, name, what) == ("estimate-fbm", "w1", "estimate.json", "max_rel")
+    assert float(rel) == pytest.approx(1e-10, rel=0.01)
+    assert lines[1] == "custom-nan-rows w1 trajectories.csv mismatch"
