@@ -19,20 +19,17 @@ and are built once per process.
 
 `FbmEstimatorCache.solve(caches, points)` solves all prefixes N in points (the
 Monte Carlo engine: N = 1..n_max) of caches of one config in one vectorized
-Picard iteration, bitwise as `cache.estimates(points)` on each. Each cache
-takes one of two paths, chosen by its data alone:
+Picard iteration, bitwise as `cache.estimates(points)` on each, along one path:
 - Where b'(X) is the same on every path (any linear drift, such as model2's
-  b(x) = -x, or copies of one path), so is C, and Phi_N of a prefix n is n
-  times one path's sum. The cache keeps that one row and builds no table; a
-  Picard step costs O(steps) `exp` calls and one (1 x steps) @ (steps x steps)
-  product per (cache, N) pair, whatever n is.
-- Otherwise a proper prefix n < N is served from a Taylor table of Phi_N about
-  s0 = I of the full bundle: K = 10 moments per path, prefix-summed, built once
-  per cache at the cost of about K exact evaluations. A Picard step is then a
-  degree-K Horner evaluation, O(K) whatever N and steps are. The table value is
-  used only when a bound on its Taylor remainder and rounding is below 1e-13 of
-  it; otherwise, and always on the full bundle, the exact sum is: one call per
-  N and step, a gemm per pair.
+  b(x) = -x, or copies of one path), so is C: the cache keeps that one row,
+  and the exact sum of a prefix n is n times that row's, whatever n is.
+- On the other caches a proper prefix n < N is served from a Taylor table of
+  Phi_N about s0 = I of the full bundle: K = 10 moments per path, prefix-summed,
+  built once per cache at the cost of about K exact evaluations, O(K) per step.
+  A value is used only when a bound on its Taylor remainder and rounding is
+  below 1e-13 of it.
+- Every other pair takes the exact sum of its 1 or n rows: one call per row
+  count and Picard step over every cache of the chunk, a gemm per pair.
 """
 
 from __future__ import annotations
@@ -245,24 +242,6 @@ def _phi_direct(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> flo
     return float(bp @ e.sum(axis=1))
 
 
-def _phi_rows(s: np.ndarray, bp: np.ndarray, c: np.ndarray, span: np.ndarray, tri: np.ndarray,
-              work: Sequence[np.ndarray] = ()) -> np.ndarray:
-    """One path's sum_{l<j} b'_j tri[j-1, l] e^{s(C_j - C_l)} for each p at s[p], over
-    (P, steps) bp, (P, steps + 1) c and (P,) span(C): `_phi_factorized` of row p alone,
-    or `_phi_direct` where a factor e^{+-sC} would leave the float range."""
-    # An overflow surfaces as a non-finite value, which the Picard iteration reports.
-    with np.errstate(all="ignore"):
-        direct = 0.5 * np.abs(s) * span > _MAX_FACTOR_EXPONENT
-        if not direct.any():
-            return _phi_factorized(s, bp[:, None], c[:, None], tri, work)
-        fit = ~direct
-        values = np.empty(len(s))
-        values[fit] = _phi_factorized(s[fit], bp[fit, None], c[fit, None], tri, work)
-        for p in np.flatnonzero(direct).tolist():
-            values[p] = _phi_direct(s[p], bp[p], c[p], tri)
-        return values
-
-
 def check_omega(
     stats: SufficientStats,
     hurst: HurstParams,
@@ -396,9 +375,8 @@ class FbmEstimatorCache:
     fixed-point estimates on path prefixes.
 
     Where b'(X) is equal on all paths, the cache keeps one row of b'(X) and C
-    (`_one_row`), and every Phi_N it evaluates is n scale times that row's sum:
-    `_phi_factorized`, or `_phi_direct` where a factor e^{+-sC} would overflow.
-    Otherwise it keeps every row and serves proper prefixes from `_taylor`."""
+    (`_one_row`), its exact sums read that row, n times, and it builds no
+    `_taylor`. Otherwise a prefix n reads n rows, or the table on n < n_paths."""
 
     def __init__(self, paths: PathBundle, drift: DriftModel, hurst: HurstParams, sigma: float):
         if hurst.h <= 0.5:
@@ -430,7 +408,8 @@ class FbmEstimatorCache:
         c_min, c_max = c.min(axis=1), c.max(axis=1)
         self._c = c - 0.5 * (c_min + c_max)[:, None]
         self._c_span = c_max - c_min
-        self._c_reach = np.maximum.accumulate(self._c_span)  # widest span of each prefix
+        # The widest span of each prefix's rows: of the one row, on a cache of one row.
+        self._c_reach = np.maximum.accumulate(np.broadcast_to(self._c_span, len(x)))
         self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
         self._tri = _kernels(hurst, paths.grid)[1]
 
@@ -462,10 +441,10 @@ class FbmEstimatorCache:
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N.
 
-        On a cache of one row (b' the same on every path) it is n scale times
-        that row's sum. Otherwise, on a proper prefix n < n_paths the sum comes
-        from the Taylor table whenever its certified error bound allows, and
-        from `_phi_exact` otherwise; the full bundle always takes `_phi_exact`.
+        On a proper prefix n < n_paths of a cache that keeps every row, the sum
+        comes from the Taylor table whenever its certified error bound allows;
+        every other value is `_phi_exact`'s, whose sum reads 1 row on a cache of
+        one row (b' the same on every path) and n rows on the others.
         """
         phi = self._phi_pairs([self], np.array([n]), SufficientStats(
             *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
@@ -475,104 +454,98 @@ class FbmEstimatorCache:
     def _phi_pairs(caches, ns: np.ndarray,
                    stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
-        (k, r): on a cache of one row, n scale times that row's sum; on the
-        others, its cache's Taylor table where the error bound holds, else the
-        exact sum of that prefix alone. Each pair gets the bits it gets alone."""
+        (k, r): its cache's Taylor table where the error bound holds, else the
+        exact sum over the pair's rows, 1 on a cache of one row and n on the
+        others. Each pair gets the bits it gets alone."""
         n_paths, tri = caches[0].paths.n_paths, caches[0]._tri
         trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
-        scale = caches[0]._scale(n, stats.d_n)
-        # Each kind of cache is stacked apart; slot[t] is cache t's place in its kind.
-        one_row = np.array([cache._one_row for cache in caches])
-        slot = np.where(one_row, np.cumsum(one_row), np.cumsum(~one_row)) - 1
-        single = [cache for cache in caches if cache._one_row]
-        full = [cache for cache in caches if not cache._one_row]
-        if single:
-            row_bp, row_c, row_span = (np.concatenate([getattr(cache, a) for cache in single])
-                                       for a in ("_bp", "_c", "_c_span"))
-            row_scale = n * scale
-            row_work = [np.empty(len(single) * len(ns) * tri.shape[0]) for _ in range(2)]
+        # A pair of a cache of one row sums that row, n times; another, its first n rows.
+        one_row = np.array([cache._one_row for cache in caches])[trial]
+        rows = np.where(one_row, 1, n)
+        # The row counts a pair can sum, sorted once here rather than on every step.
+        counts = sorted(({1} if one_row.any() else set())
+                        | (set() if one_row.all() else set(ns.tolist())))
+        scale = caches[0]._scale(n, stats.d_n) * np.where(one_row, n, 1)
+        table_row = trial * n_paths + n - 1
+        tabled = not one_row.all() and bool((ns < n_paths).any())
+        if tabled:
+            # The tables end to end; a cache without one (or of one row) gets NaN
+            # centres, so no bound holds on its pairs and all take the exact sum.
+            tables = [(not cache._one_row and cache._taylor)
+                      or (np.nan, np.zeros((n_paths, _TAYLOR_ORDER)), np.zeros(n_paths))
+                      for cache in caches]
+            s0, moments, weights = (np.concatenate(a) for a in zip(*(
+                (np.full(n_paths, s), m, w) for s, m, w in tables)))
+        # One stack of every cache; a cache of one row is widened (a view) only
+        # beside caches that keep every row.
+        width = max(len(cache._bp) for cache in caches)
+        bp, c = (np.stack([a if len(a) == width else np.broadcast_to(a, (width, a.shape[1]))
+                           for a in (getattr(cache, name) for cache in caches)])
+                 for name in ("_bp", "_c"))
+        reach = np.concatenate([cache._c_reach for cache in caches])
+        # Buffers for the most rows one exact call can read: its pairs times their count.
+        work = [np.empty(int(np.bincount(rows, rows).max()) * tri.shape[0]) for _ in range(2)]
 
-            def single_phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-                # One product per pair, so each gets the bits it gets alone.
-                t = slot[trial[k]]
-                return row_scale[k] * _phi_rows(r + stats.i_n[k], row_bp[t], row_c[t],
-                                                row_span[t], tri, row_work)
-        if full:
-            table_row = slot[trial] * n_paths + n - 1
-            proper = bool((ns < n_paths).any())
-            if proper:
-                # The tables end to end; a cache without one gets NaN centres, so no
-                # bound holds on its pairs and all take the exact sum.
-                tables = [cache._taylor or (np.nan, np.zeros((n_paths, _TAYLOR_ORDER)),
-                                            np.zeros(n_paths)) for cache in full]
-                s0, moments, weights = (np.concatenate(a) for a in zip(*(
-                    (np.full(n_paths, s), m, w) for s, m, w in tables)))
-            # Stacked arrays and buffers for one exact call per prefix size and step.
-            bp, c = (np.stack([getattr(cache, a) for cache in full]) for a in ("_bp", "_c"))
-            reach = np.concatenate([cache._c_reach for cache in full])
-            work = [np.empty(bp.size), np.empty(bp.size)]
-
-            def full_phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-                values = np.full(len(k), np.nan)
-                if proper:
-                    rows = table_row[k]
-                    x = r + stats.i_n[k] - s0[rows]
-                    y = np.abs(x) * reach[rows]
-                    served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n[k] < n_paths))
-                    x, y, rows = x[served], y[served], rows[served]
-                    coeffs = moments[rows]
-                    v = np.zeros(len(served))
-                    for j in range(_TAYLOR_ORDER - 1, -1, -1):
-                        v = v * x + coeffs[:, j]
-                    # Taylor remainder plus the rounding of the binomial moments.
-                    bound = weights[rows] * np.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
-                                                         + _TAYLOR_ORDER * _EPS)
-                    values[served] = np.where(bound <= _TAYLOR_RTOL * np.abs(v),
-                                              scale[k[served]] * v, np.nan)
-                exact = np.flatnonzero(np.isnan(values))
-                for m in np.unique(n[k[exact]]).tolist():
-                    j = exact[n[k[exact]] == m]
-                    e, s = k[j], r[j] + stats.i_n[k[j]]
-                    # As in `_phi_exact`: one factorized sum where no factor can overflow.
-                    fit = 0.5 * np.abs(s) * reach[table_row[e]] <= _MAX_FACTOR_EXPONENT
-                    # All caches in turn (k ascends), as on most steps: no gathered copy.
-                    t = slot[trial[e[fit]]] if fit.sum() < len(full) else slice(None)
-                    values[j[fit]] = scale[e[fit]] * _phi_factorized(s[fit], bp[t, :m], c[t, :m],
-                                                                     tri, work)
-                    for jj, ee in zip(j[~fit], e[~fit]):
-                        prefix = SufficientStats(stats.d_n[ee], stats.i_n[ee], stats.m_n[ee])
-                        values[jj] = caches[trial[ee]]._phi_exact(m, prefix)(r[jj])
-                return values
-
+        # An overflow surfaces as a non-finite value, which the Picard iteration reports.
+        @np.errstate(all="ignore")
         def phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-            values, on_one_row = np.empty(len(k)), one_row[trial[k]]
-            if on_one_row.any():
-                values[on_one_row] = single_phi(k[on_one_row], r[on_one_row])
-            if not on_one_row.all():
-                values[~on_one_row] = full_phi(k[~on_one_row], r[~on_one_row])
+            s, values = r + stats.i_n[k], np.full(len(k), np.nan)
+            if tabled:
+                at = table_row[k]
+                x = s - s0[at]
+                y = np.abs(x) * reach[at]
+                served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n[k] < n_paths))
+                x, y, at = x[served], y[served], at[served]
+                coeffs = moments[at]
+                v = np.zeros(len(served))
+                for j in range(_TAYLOR_ORDER - 1, -1, -1):
+                    v = v * x + coeffs[:, j]
+                # Taylor remainder plus the rounding of the binomial moments.
+                bound = weights[at] * np.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
+                                                   + _TAYLOR_ORDER * _EPS)
+                values[served] = np.where(bound <= _TAYLOR_RTOL * np.abs(v),
+                                          scale[k[served]] * v, np.nan)
+            exact = np.flatnonzero(np.isnan(values))
+            by_rows = rows[k[exact]] if len(counts) > 1 else None
+            for m in counts if by_rows is None else np.flatnonzero(np.bincount(by_rows)).tolist():
+                j = exact if by_rows is None else exact[by_rows == m]
+                e, s_j = k[j], s[j]
+                # As in `_phi_exact`: one factorized sum where no factor can overflow.
+                fit = 0.5 * np.abs(s_j) * reach[table_row[e]] <= _MAX_FACTOR_EXPONENT
+                if not fit.all():
+                    for jj, ee in zip(j[~fit].tolist(), e[~fit].tolist()):
+                        prefix = SufficientStats(stats.d_n[ee], stats.i_n[ee], stats.m_n[ee])
+                        values[jj] = caches[trial[ee]]._phi_exact(n[ee], prefix)(r[jj])
+                    j, e, s_j = j[fit], e[fit], s_j[fit]
+                if not j.size:
+                    continue
+                # One pair per cache, in order, as on most steps: no gathered copy.
+                t = trial[e]
+                every = len(t) == len(caches) and (t == np.arange(len(t))).all()
+                bp_m, c_m = (a[:, :m] if every else np.take(a[:, :m], t, axis=0) for a in (bp, c))
+                values[j] = scale[e] * _phi_factorized(s_j, bp_m, c_m, tri, work)
             return values
 
         return phi
 
     def _phi_exact(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
-        """Phi_N as the factorized sum over the first n paths, or on a cache of
-        one row as n times that row's sum.
+        """Phi_N of the first n paths as the factorized sum over the cache's first
+        m = n rows, or on a cache of one row as n times the sum over its m = 1 row.
 
-        A path whose factors e^{+-sC_i} would leave the float range is summed
+        A row whose factors e^{+-sC_i} would leave the float range is summed
         pair by pair instead; the result is the same sum either way.
         """
-        bp, c, span, tri = self._bp[:n], self._c[:n], self._c_span[:n], self._tri
-        scale = self._scale(n, stats.d_n)
+        m = 1 if self._one_row else n
+        bp, c, span, tri = self._bp[:m], self._c[:m], self._c_span[:m], self._tri
+        scale = self._scale(n, stats.d_n) * (n if self._one_row else 1)
         i_n = stats.i_n
 
         def _phi(r: float) -> float:
             s = r + i_n
-            if self._one_row:  # as `_phi_pairs` evaluates it
-                return float(n * scale * _phi_rows(np.array([s]), bp, c, span, tri)[0])
             # An overflow surfaces as a non-finite value, which fixed_point reports.
             with np.errstate(all="ignore"):
                 direct = 0.5 * abs(s) * span > _MAX_FACTOR_EXPONENT
-                # From -0.0, so that with no direct path the sum is the factorized one.
+                # From -0.0, so that with no direct row the sum is the factorized one.
                 total = sum((_phi_direct(s, bp[i], c[i], tri) for i in np.flatnonzero(direct)), -0.0)
                 rest = _phi_factorized(np.array([s]), bp[None, ~direct], c[None, ~direct], tri)
                 return scale * (total + float(rest[0]))

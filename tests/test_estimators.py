@@ -804,11 +804,13 @@ def test_solve_without_residual_changes_no_other_field(points):
 
 
 def exact_sum_caches():
-    """Four model1 caches of 40 paths whose Picard steps take the exact sum in
+    """Five model1 caches of 40 paths whose Picard steps take the exact sum in
     every way: two plain ones (the full bundle), one whose last path jumps to
     2000 (I of the full bundle is about 32, so the table exists but fails its
-    bound on every proper prefix), and one whose last path jumps to -2e5 (no
-    table, and the full bundle's factors e^{+-sC} overflow: the direct sum)."""
+    bound on every proper prefix), one whose last path jumps to -2e5 (no
+    table, and the full bundle's factors e^{+-sC} overflow: the direct sum),
+    and 40 copies of a path that jumps to 2e4 (one row, I about 4250: its
+    factors overflow on every prefix, while the direct sum stays finite)."""
     drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(2)]
@@ -817,6 +819,9 @@ def exact_sum_caches():
         jump[-1] = 0.0
         jump[-1, -1] = top
         bundles.append(PathBundle(grid=bundles[0].grid, values=jump, kind="solution"))
+    copies = np.repeat(np.zeros_like(jump[-1:]), 40, axis=0)
+    copies[:, -1] = 2e4
+    bundles.append(PathBundle(grid=bundles[0].grid, values=copies, kind="solution"))
     return [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
 
 
@@ -828,7 +833,8 @@ def factorized_oracle(cache, n, stats, r):
     return cache._scale(n, stats.d_n) * float(total)
 
 
-@pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40)])
+# (40, 3, 40) puts two pairs of each cache in one exact sum.
+@pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40), (40, 3, 40)])
 def test_stacked_exact_sum_matches_each_cache(points):
     from fpdrift.estimators import _MAX_FACTOR_EXPONENT
 
@@ -837,17 +843,22 @@ def test_stacked_exact_sum_matches_each_cache(points):
     for t, cache in enumerate(exact_sum_caches()):
         assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
     # Only the full overflow-prone bundle's iterate diverges.
-    assert np.flatnonzero(np.isnan(rows["estimate"])).tolist() == [rows.size - 1]
+    assert np.argwhere(np.isnan(rows["estimate"])).tolist() == [
+        [3, j] for j, n in enumerate(points) if n == 40]
     caches = exact_sum_caches()
     ns = np.array(points)
     stats, _ = FbmEstimatorCache._pair_stats(caches, ns)
     phi = FbmEstimatorCache._phi_pairs(caches, ns, stats)
-    full, fallback, overflow = caches[0], caches[2], caches[3]
+    full, fallback, overflow, copies = caches[0], caches[2], caches[3], caches[4]
     assert fallback._taylor is not None and overflow._taylor is None
-    assert 0.5 * abs(overflow.stats().i_n) * overflow._c_reach[-1] > _MAX_FACTOR_EXPONENT
+    assert [cache._one_row for cache in caches] == [False] * 4 + [True]
+    for cache in (overflow, copies):
+        assert 0.5 * abs(cache.stats().i_n) * cache._c_reach[-1] > _MAX_FACTOR_EXPONENT
     # Every pair the table cannot serve, at two iterates: the stacked sum is the
-    # 2-D one bit for bit, and `_phi_exact`'s where a factor would overflow.
+    # 2-D one bit for bit, and `_phi_exact`'s where a factor would overflow; on
+    # the copies, n times one row's direct sum, as the loop-written oracle sums.
     k = np.arange(len(caches) * len(ns))
+    t_nodes, t_total = copies.paths.grid.nodes, copies.t_total
     for r in (0.0, 0.3):
         values = phi(k, np.full(len(k), r))
         for (t, m), value in zip(np.ndindex(len(caches), len(ns)), values.tolist()):
@@ -856,7 +867,11 @@ def test_stacked_exact_sum_matches_each_cache(points):
                 continue  # served by the table
             prefix = cache.stats(n)
             assert value == cache._phi_exact(n, prefix)(r)
-            if cache is not overflow or n < 40:
+            if cache is copies and n in (ns[0], ns[-1]):
+                want = oracle_phi(r, copies.paths.values[:n], t_nodes, t_total,
+                                  copies.drift.b_prime, 0.7, 1.0, prefix.d_n, prefix.i_n)
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+            elif cache is not copies and (cache is not overflow or n < 40):
                 assert value == factorized_oracle(cache, n, prefix, r)
 
 

@@ -44,6 +44,41 @@ def test_private_import_check_sees_both_forms(tmp_path):
     assert private_imports(path) == ["from .fbm import _time_factor", "fbm._cholesky_psd"]
 
 
+def unreferenced_private_definitions(paths: list[Path]) -> list[str]:
+    """`_`-prefixed functions, methods and classes defined in these modules whose
+    name no other name, attribute or import in them reads; dunders excepted."""
+    defined, read = [], set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append(node.name)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(name for name in defined if name not in read)
+
+
+def test_every_private_helper_is_referenced():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert unreferenced_private_definitions(modules) == []
+
+
+def test_dead_helper_check_sees_functions_methods_and_classes(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def _used():\n    return _Used().run()\n\n"
+                    "def _dead():\n    pass\n\n"
+                    "class _Used:\n    def __init__(self):\n        self._x = 1\n"
+                    "    def run(self):\n        return self._helper()\n"
+                    "    def _helper(self):\n        return _used\n"
+                    "    def _stale(self):\n        pass\n\n"
+                    "class _Gone:\n    pass\n", encoding="utf-8")
+    assert unreferenced_private_definitions([path]) == ["_Gone", "_dead", "_stale"]
+
+
 def test_all_lists_exactly_the_imported_public_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     imported = [alias.asname or alias.name for node in tree.body

@@ -92,23 +92,35 @@ def test_largest_eval_point_below_n_max_builds_no_taylor_table(monkeypatch):
 
 
 def test_trial_solve_skips_the_residual_sweep(monkeypatch):
-    # On the full bundle every Phi_N value is an exact sum: one call per Picard
-    # step, and none more for the residual |Phi_N(R_N) - R_N| that no output reads.
-    cfg = model2_config(eval_points=(5,), n_max=10, replications=1)
-    paths = montecarlo.simulate_bundle(cfg, montecarlo.trial_rng(cfg, 0), 10)
-    want = FbmEstimatorCache(replace(paths, values=paths.values[:5]), cfg.drift(),
-                             cfg.hurst_params(), cfg.sigma).estimate()
+    # Every Phi_N value of these chunks is an exact sum: one call per Picard step
+    # of the chunk, and none more for the residual |Phi_N(R_N) - R_N| that no
+    # output reads. (settings, trials): one trial's full bundle; model2 over
+    # every prefix, where every cache keeps one row; model1's full bundles,
+    # where every cache keeps all its rows.
     real, calls = estimators._phi_factorized, []
 
     def phi_factorized(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, "_phi_factorized", phi_factorized)
-    t = run_trial(cfg, 0)
-    assert (t["r_n"][0], t["iterations"][0]) == (want.r_n, want.iterations)
-    assert np.isnan(t["residual"][0])
-    assert want.iterations > 1 and len(calls) == want.iterations
+    for settings, trials in ((dict(eval_points=(5,)), 1), (dict(), 4),
+                             (dict(model="model1", hurst=0.7, horizon=0.1, sigma=0.25,
+                                   eval_points=(10,)), 4)):
+        cfg = model2_config(n_max=10, replications=trials, **settings)
+        bundles = [montecarlo.simulate_bundle(cfg, montecarlo.trial_rng(cfg, i), 10)
+                   for i in range(trials)]
+        want = np.stack([FbmEstimatorCache(
+            replace(paths, values=paths.values[:cfg.points[-1]]), cfg.drift(),
+            cfg.hurst_params(), cfg.sigma).estimates(cfg.points) for paths in bundles])
+        monkeypatch.setattr(estimators, "_phi_factorized", phi_factorized)
+        calls.clear()
+        rows = montecarlo._run_chunk(cfg, range(trials))
+        monkeypatch.undo()
+        for name in ("r_n", "iterations"):
+            assert rows[name].tobytes() == want[name].tobytes()
+        assert np.isnan(rows["residual"]).all()
+        steps = int(want["iterations"].max())
+        assert steps > 1 and len(calls) == steps
 
 
 @pytest.fixture
