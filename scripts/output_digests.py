@@ -101,7 +101,7 @@ CASES: dict[str, list[str]] = {
     "custom-undefined-final": ["experiment", *_sets(*_CUSTOM, "x0=0")],
     # The same NaN rows in JSON, where they are written as null.
     "custom-nan-rows-json": ["experiment", *_sets(*_CUSTOM, "x0=1"), "--format", "json"],
-    # I_N is far from 0 on T = 5: the Taylor table serves few steps.
+    # I_N is far from 0 on T = 5, so the factors e^{+-sC} of Phi_N are large.
     "model2-t5": ["experiment", *_sets(*_FBM, "T=5", *_SMALL)],
     "model1-fine": ["experiment", *_sets("model=model1", "H=0.9", "steps=400", "n_max=50",
                                          "replications=2")],

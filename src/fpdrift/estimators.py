@@ -19,17 +19,16 @@ and are built once per process.
 
 `FbmEstimatorCache.solve(caches, points)` solves all prefixes N in points (the
 Monte Carlo engine: N = 1..n_max) of caches of one config in one vectorized
-Picard iteration, bitwise as `cache.estimates(points)` on each, along one path:
+Picard iteration, bitwise as `cache.estimates(points)` on each. Every Phi_N
+value is the exact sum of its prefix, along one path:
 - Where b'(X) is the same on every path (any linear drift, such as model2's
   b(x) = -x, or copies of one path), so is C: the cache keeps that one row,
-  and the exact sum of a prefix n is n times that row's, whatever n is.
-- On the other caches a proper prefix n < N is served from a Taylor table of
-  Phi_N about s0 = I of the full bundle: K = 10 moments per path, prefix-summed,
-  built once per cache at the cost of about K exact evaluations, O(K) per step.
-  A value is used only when a bound on its Taylor remainder and rounding is
-  below 1e-13 of it.
-- Every other pair takes the exact sum of its 1 or n rows: one call per row
-  count and Picard step over every cache of the chunk, a gemm per pair.
+  and the sum of a prefix n is n times that row's, whatever n is.
+- On the other caches a prefix n sums its first n rows, O(n*steps^2) per
+  Picard step, on a proper prefix as on the full bundle.
+- A Picard step makes one call per row count over every cache of the chunk,
+  a gemm per pair; a pair whose factors e^{+-sC} would overflow is summed by
+  `_phi_exact` instead.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF via Acklam's rational approximation,
     refined with one Halley step (accuracy well below 1e-8).
 
-    Memoized: a run asks for the same one or two levels on every prefix."""
+    Memoized: a run asks for the same one or two levels, once per chunk's solve."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
     p_low, p_high = 0.02425, 1.0 - 0.02425
@@ -207,16 +206,6 @@ def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray, np
     for a in (lag, tri, kappa):
         a.flags.writeable = False
     return lag, tri, kappa
-
-
-# Taylor table of Phi_N on proper prefixes: order K, and the bound on the
-# relative error of a value it serves.
-_TAYLOR_ORDER = 10
-_TAYLOR_RTOL = 1e-13
-_TAYLOR_INV_FACT = 1.0 / math.factorial(_TAYLOR_ORDER)
-_EPS = float(np.finfo(float).eps)
-# Past this y = |s - s0| A_n the remainder term alone exceeds the tolerance.
-_TAYLOR_Y_MAX = (_TAYLOR_RTOL * math.factorial(_TAYLOR_ORDER)) ** (1.0 / _TAYLOR_ORDER)
 
 
 def _phi_factorized(s: np.ndarray, bp: np.ndarray, c: np.ndarray, tri: np.ndarray,
@@ -374,9 +363,9 @@ class FbmEstimatorCache:
     """Precomputes per-path statistics of a solution bundle once, then serves
     fixed-point estimates on path prefixes.
 
-    Where b'(X) is equal on all paths, the cache keeps one row of b'(X) and C
-    (`_one_row`), its exact sums read that row, n times, and it builds no
-    `_taylor`. Otherwise a prefix n reads n rows, or the table on n < n_paths."""
+    Phi_N of a prefix n is always the exact sum. Where b'(X) is equal on all
+    paths, the cache keeps one row of b'(X) and C (`_one_row`) and the sum reads
+    that row, n times; otherwise it reads the first n rows."""
 
     def __init__(self, paths: PathBundle, drift: DriftModel, hurst: HurstParams, sigma: float):
         if hurst.h <= 0.5:
@@ -439,13 +428,8 @@ class FbmEstimatorCache:
         return float(self._pair_stats([self], np.array([n]))[1][0])
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
-        """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N.
-
-        On a proper prefix n < n_paths of a cache that keeps every row, the sum
-        comes from the Taylor table whenever its certified error bound allows;
-        every other value is `_phi_exact`'s, whose sum reads 1 row on a cache of
-        one row (b' the same on every path) and n rows on the others.
-        """
+        """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N:
+        the `_phi_pairs` value of the one pair (this cache, n), bitwise `_phi_exact`'s."""
         phi = self._phi_pairs([self], np.array([n]), SufficientStats(
             *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
         return lambda r: float(phi(np.zeros(1, dtype=np.int64), np.array([r]))[0])
@@ -454,9 +438,8 @@ class FbmEstimatorCache:
     def _phi_pairs(caches, ns: np.ndarray,
                    stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
-        (k, r): its cache's Taylor table where the error bound holds, else the
-        exact sum over the pair's rows, 1 on a cache of one row and n on the
-        others. Each pair gets the bits it gets alone."""
+        (k, r): the exact sum over the pair's rows, 1 on a cache of one row and n
+        on the others. Each pair gets the bits it gets alone."""
         n_paths, tri = caches[0].paths.n_paths, caches[0]._tri
         trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
         # A pair of a cache of one row sums that row, n times; another, its first n rows.
@@ -466,52 +449,27 @@ class FbmEstimatorCache:
         counts = sorted(({1} if one_row.any() else set())
                         | (set() if one_row.all() else set(ns.tolist())))
         scale = caches[0]._scale(n, stats.d_n) * np.where(one_row, n, 1)
-        table_row = trial * n_paths + n - 1
-        tabled = not one_row.all() and bool((ns < n_paths).any())
-        if tabled:
-            # The tables end to end; a cache without one (or of one row) gets NaN
-            # centres, so no bound holds on its pairs and all take the exact sum.
-            tables = [(not cache._one_row and cache._taylor)
-                      or (np.nan, np.zeros((n_paths, _TAYLOR_ORDER)), np.zeros(n_paths))
-                      for cache in caches]
-            s0, moments, weights = (np.concatenate(a) for a in zip(*(
-                (np.full(n_paths, s), m, w) for s, m, w in tables)))
+        # The widest span of C over each pair's rows.
+        reach = np.concatenate([cache._c_reach for cache in caches])[trial * n_paths + n - 1]
         # One stack of every cache; a cache of one row is widened (a view) only
         # beside caches that keep every row.
         width = max(len(cache._bp) for cache in caches)
         bp, c = (np.stack([a if len(a) == width else np.broadcast_to(a, (width, a.shape[1]))
                            for a in (getattr(cache, name) for cache in caches)])
                  for name in ("_bp", "_c"))
-        reach = np.concatenate([cache._c_reach for cache in caches])
         # Buffers for the most rows one exact call can read: its pairs times their count.
         work = [np.empty(int(np.bincount(rows, rows).max()) * tri.shape[0]) for _ in range(2)]
 
         # An overflow surfaces as a non-finite value, which the Picard iteration reports.
         @np.errstate(all="ignore")
         def phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-            s, values = r + stats.i_n[k], np.full(len(k), np.nan)
-            if tabled:
-                at = table_row[k]
-                x = s - s0[at]
-                y = np.abs(x) * reach[at]
-                served = np.flatnonzero((y <= _TAYLOR_Y_MAX) & (n[k] < n_paths))
-                x, y, at = x[served], y[served], at[served]
-                coeffs = moments[at]
-                v = np.zeros(len(served))
-                for j in range(_TAYLOR_ORDER - 1, -1, -1):
-                    v = v * x + coeffs[:, j]
-                # Taylor remainder plus the rounding of the binomial moments.
-                bound = weights[at] * np.exp(y) * (y**_TAYLOR_ORDER * _TAYLOR_INV_FACT
-                                                   + _TAYLOR_ORDER * _EPS)
-                values[served] = np.where(bound <= _TAYLOR_RTOL * np.abs(v),
-                                          scale[k[served]] * v, np.nan)
-            exact = np.flatnonzero(np.isnan(values))
-            by_rows = rows[k[exact]] if len(counts) > 1 else None
+            s, values = r + stats.i_n[k], np.empty(len(k))
+            by_rows = rows[k] if len(counts) > 1 else None
             for m in counts if by_rows is None else np.flatnonzero(np.bincount(by_rows)).tolist():
-                j = exact if by_rows is None else exact[by_rows == m]
+                j = np.arange(len(k)) if by_rows is None else np.flatnonzero(by_rows == m)
                 e, s_j = k[j], s[j]
                 # As in `_phi_exact`: one factorized sum where no factor can overflow.
-                fit = 0.5 * np.abs(s_j) * reach[table_row[e]] <= _MAX_FACTOR_EXPONENT
+                fit = 0.5 * np.abs(s_j) * reach[e] <= _MAX_FACTOR_EXPONENT
                 if not fit.all():
                     for jj, ee in zip(j[~fit].tolist(), e[~fit].tolist()):
                         prefix = SufficientStats(stats.d_n[ee], stats.i_n[ee], stats.m_n[ee])
@@ -555,46 +513,6 @@ class FbmEstimatorCache:
     def _scale(self, n, d_n):
         """-alpha sigma^2 / (N T D_N), for scalars or arrays over prefixes."""
         return -self.hurst.alpha * self.sigma**2 / (n * self.t_total * d_n)
-
-    @functools.cached_property
-    def _taylor(self) -> Optional[tuple[float, np.ndarray, np.ndarray]]:
-        """(s0, moments, weights): Phi_N's Taylor moments about s0 = I of the
-        full bundle, prefix-summed over paths, or None where the full bundle
-        gives no finite table. moments[n - 1, k] = sum_{i<=n} mu_ik and
-        weights[n - 1] = sum_{i<=n} sum_{(j,l)} |w| e^{s0 a}.
-
-        mu_ik = sum_{(j,l)} w e^{s0 a} a^k / k! with a = C_j - C_l is built in
-        the binomial form sum_{m+p=k} <P_m, Q_p>_i, where
-        P_m = b' e^{s0 C_j} C_j^m / m! and Q_p = (e^{-s0 C_l} (-C_l)^p / p!) @ tri.T,
-        which takes K products with tri and no table over node pairs.
-        """
-        try:
-            s0 = self.stats().i_n
-        except DegenerateStatisticsError:
-            return None
-        if not 0.5 * abs(s0) * float(self._c_reach[-1]) <= _MAX_FACTOR_EXPONENT:
-            return None  # the factors e^{+-s0 C} leave the float range (or s0 is NaN)
-        c_j, c_l, tri = self._c[:, 1:], self._c[:, :-1], self._tri
-        with np.errstate(all="ignore"):
-            up = np.exp(s0 * c_j)
-            p_m = np.empty((_TAYLOR_ORDER,) + c_j.shape)
-            p_m[0] = self._bp * up
-            for m in range(1, _TAYLOR_ORDER):
-                np.multiply(p_m[m - 1], c_j / m, out=p_m[m])
-            q = np.exp(-s0 * c_l)
-            q_tri = q @ tri.T
-            # tri >= 0 and e^{-s0 C} > 0, so Q_0 also weighs |w|.
-            weights = np.cumsum(np.einsum("ij,ij->i", np.abs(self._bp) * up, q_tri))
-            moments = np.zeros((c_j.shape[0], _TAYLOR_ORDER))
-            for p in range(_TAYLOR_ORDER):
-                if p:
-                    q *= -c_l / p
-                    q_tri = q @ tri.T
-                moments[:, p:] += np.einsum("mij,ij->im", p_m[:_TAYLOR_ORDER - p], q_tri)
-            np.cumsum(moments, axis=0, out=moments)
-        if not (np.isfinite(moments).all() and np.isfinite(weights).all()):
-            return None
-        return s0, moments, weights
 
     @staticmethod
     def solve(caches: Sequence["FbmEstimatorCache"], points: Optional[Sequence[int]] = None, *,

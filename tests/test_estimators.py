@@ -411,41 +411,45 @@ def test_lipschitz_ratio_under_omega(seed, n):
             assert ratio <= 0.5 + 1e-6
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_prefix_estimates_match_direct(seed):
-    # Cache evaluation on a prefix equals estimating the truncated bundle.
-    bundle = solution_bundle(n=6, seed=seed)
-    drift = drift_model("model2")
-    hurst = HurstParams(h=0.9)
-    cache = FbmEstimatorCache(bundle, drift, hurst, 1.0)
-    sub = PathBundle(grid=bundle.grid, values=bundle.values[:4], kind="solution")
-    direct = FbmEstimatorCache(sub, drift, hurst, 1.0).estimate(max_iters=60, tol=1e-14)
-    via_cache = cache.estimate(4, max_iters=60, tol=1e-14)
-    assert via_cache.theta_tilde == pytest.approx(direct.theta_tilde, rel=1e-12)
-    assert via_cache.d_n == pytest.approx(direct.d_n, rel=1e-12)
-    assert via_cache.aci[0] == pytest.approx(direct.aci[0], rel=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# The Taylor table of Phi_N on proper prefixes.
-# ---------------------------------------------------------------------------
-
 # (model, horizon, sigma, x0): the two presets, and a drift whose b' = 1 - 3x^2
 # changes sign along the paths, so the sum over node pairs cancels.
-TABLE_MODELS = {
+PHI_MODELS = {
     "model1": ("model1", 0.1, 0.25, 5.0),
     "model2": ("model2", 0.75, 1.0, 5.0),
     "sign-changing": ("custom:-1,0,1,0", 0.5, 1.0, 0.3),
 }
 
 
+@settings(max_examples=15, deadline=None)
+@given(model=st.sampled_from(sorted(PHI_MODELS)), seed=st.integers(0, 10**6))
+def test_prefix_estimates_match_direct(model, seed):
+    # Each prefix of a cache is the truncated bundle's own cache, bit for bit:
+    # both take the same exact Phi_N sum. Ybar's gemm reads a different number
+    # of rows, so the interval agrees to rel 1e-10.
+    name, horizon, sigma, x0 = PHI_MODELS[model]
+    bundle = solution_bundle(model=name, horizon=horizon, sigma=sigma, x0=x0, n=6, seed=seed)
+    drift, hurst = drift_model(name), HurstParams(h=0.9)
+    rows = FbmEstimatorCache(bundle, drift, hurst, sigma).estimates(
+        range(1, 6), max_iters=60, tol=1e-14)
+    for m, row in zip(range(1, 6), rows):
+        sub = PathBundle(grid=bundle.grid, values=bundle.values[:m], kind="solution")
+        direct = FbmEstimatorCache(sub, drift, hurst, sigma).estimates(max_iters=60, tol=1e-14)[0]
+        for field in ("estimate", "r_n", "iterations", "d_n", "i_n"):
+            assert row[field].tobytes() == direct[field].tobytes(), (m, field)
+        np.testing.assert_allclose(row[["aci_lower", "aci_upper"]].tolist(),
+                                   direct[["aci_lower", "aci_upper"]].tolist(), rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Phi_N is the exact sum on every prefix.
+# ---------------------------------------------------------------------------
+
 @settings(max_examples=30, deadline=None)
-@given(model=st.sampled_from(sorted(TABLE_MODELS)), seed=st.integers(0, 10**6),
+@given(model=st.sampled_from(sorted(PHI_MODELS)), seed=st.integers(0, 10**6),
        n=st.integers(2, 12), h=st.floats(0.6, 0.95),
        rs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
-def test_taylor_table_matches_exact_sum(model, seed, n, h, rs):
-    name, horizon, sigma, x0 = TABLE_MODELS[model]
+def test_phi_is_the_exact_sum(model, seed, n, h, rs):
+    name, horizon, sigma, x0 = PHI_MODELS[model]
     bundle = solution_bundle(model=name, h=h, horizon=horizon, sigma=sigma, x0=x0,
                              n=n, seed=seed)
     cache = FbmEstimatorCache(bundle, drift_model(name), HurstParams(h=h), sigma)
@@ -458,62 +462,13 @@ def test_taylor_table_matches_exact_sum(model, seed, n, h, rs):
         except DivergenceError:
             pass  # the sign-changing drift need not give a contraction
         for r in points:
-            if cache._one_row:  # no table: both are n times one row's sum
-                assert phi(r) == exact(r)
-            else:
-                assert phi(r) == pytest.approx(exact(r), rel=1e-12, abs=0.0)
-    # b' = -1 on every model2 path: its cache keeps one row and builds no table.
+            assert phi(r) == exact(r)
+    # b' = -1 on every model2 path: its cache keeps one row.
     assert cache._one_row == (name == "model2")
-    if cache._one_row:
-        assert "_taylor" not in vars(cache)
-    else:
-        assert cache._taylor is not None
-
-
-def test_taylor_table_serves_proper_prefixes():
-    # The Picard solves of every proper prefix, as `experiment` runs them:
-    # the table serves most evaluations, within rel 1e-12 of the exact sum.
-    # model1 at its preset horizon and volatility.
-    bundle = solution_bundle(model="model1", h=0.7, horizon=0.1, sigma=0.25, n=40, seed=4)
-    cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.7), 0.25)
-    served = evaluated = 0
-    for m in range(1, 40):
-        stats = cache.stats(m)
-        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
-        r, iterations, _ = fixed_point(phi, 30, 1e-12)
-        r_exact, iterations_exact, _ = fixed_point(exact, 30, 1e-12)
-        assert iterations == iterations_exact
-        assert r == pytest.approx(r_exact, rel=1e-12, abs=0.0)
-        for r_k in (0.0, r):
-            evaluated += 1
-            served += phi(r_k) != exact(r_k)
-            assert phi(r_k) == pytest.approx(exact(r_k), rel=1e-12, abs=0.0)
-    assert served > evaluated // 2
-
-
-def test_taylor_table_falls_back_near_a_root():
-    # With b' changing sign, Phi_N of these prefixes crosses zero near the
-    # centre s0. There the error bound, relative to |Phi_N|, fails and the
-    # exact sum is served; rel 1e-12 holds right up to the root.
-    bundle = solution_bundle(model="custom:-1,0,1,0", h=0.8, horizon=0.5, sigma=1.0,
-                             x0=0.5, n=8, seed=1)
-    cache = FbmEstimatorCache(bundle, drift_model("custom:-1,0,1,0"), HurstParams(h=0.8), 1.0)
-    for m in (3, 5, 7):
-        stats = cache.stats(m)
-        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
-        grid = np.linspace(-0.6, 0.3, 10)
-        signs = np.sign([exact(r) for r in grid])
-        k = int(np.flatnonzero(signs[:-1] != signs[1:])[0])
-        lo, hi = grid[k], grid[k + 1]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if np.sign(exact(mid)) == signs[k] else (lo, mid)
-        for r in (lo - 1e-4, lo - 1e-8, lo, hi, hi + 1e-8, hi + 1e-4):
-            assert phi(r) == pytest.approx(exact(r), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("model", ["model1", "sign-changing"])
-def test_taylor_table_falls_back_far_from_centre(model):
+def test_phi_matches_oracle_at_far_iterates(model):
     h, sigma = 0.8, 0.5
     # (drift, x0, iterates): on the sign-changing drift C grows, so e^{s(C_j - C_l)}
     # would overflow at r = 2000.
@@ -526,8 +481,6 @@ def test_taylor_table_falls_back_far_from_centre(model):
     cache = FbmEstimatorCache(bundle, drift, HurstParams(h=h), sigma)
     stats = cache.stats(2)
     phi, exact = cache.phi(2, stats), cache._phi_exact(2, stats)
-    assert cache._taylor is not None
-    # |s - s0| span(C) is far past where ten Taylor terms reach 1e-13.
     for r in rs:
         assert phi(r) == exact(r)
         want = oracle_phi(r, bundle.values[:2], t, T, drift.b_prime, h, sigma,
@@ -535,44 +488,42 @@ def test_taylor_table_falls_back_far_from_centre(model):
         assert phi(r) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_full_bundle_never_builds_the_table():
+def test_full_bundle_estimate_is_the_scalar_iteration():
     bundle = solution_bundle(model="model1", h=0.7, n=6, seed=2)
     cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.7), 1.0)
     est = cache.estimate(max_iters=30, tol=1e-12)
-    assert "_taylor" not in vars(cache)
     stats = cache.stats()
     r, iterations, residual = fixed_point(cache._phi_exact(6, stats), 30, 1e-12)
     assert (est.r_n, est.iterations, est.residual) == (r, iterations, residual)
-    # A prefix builds the table; the full bundle still takes the exact sum.
+    # A solve of a prefix leaves the full bundle's bits as they were.
     cache.estimate(3, max_iters=30, tol=1e-12)
-    assert cache._taylor is not None
     again = cache.estimate(max_iters=30, tol=1e-12)
     assert (again.r_n, again.iterations, again.residual) == (r, iterations, residual)
 
 
-def test_taylor_table_skipped_without_finite_centre():
+def test_phi_is_exact_on_prefixes_of_degenerate_bundles():
     grid = Grid(horizon=1.0, steps=2)
-    # b(x) = x - x^3 vanishes along paths at 0 and 1: D_N = 0, so there is no
-    # centre s0. b' is 1 on one path and -2 on the other: two rows.
+    # b(x) = x - x^3 vanishes along paths at 0 and 1: D_N = 0 on the full
+    # bundle. b' is 1 on one path and -2 on the other: two rows.
     roots = PathBundle(grid=grid, values=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
                        kind="solution")
     cache = FbmEstimatorCache(roots, drift_model("custom:-1,0,1,0"), HurstParams(h=0.8), 1.0)
     stats = SufficientStats(d_n=1.0, i_n=0.5, m_n=1.0)
     phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
-    assert not cache._one_row and cache._taylor is None
+    assert not cache._one_row
     for r in (0.0, 0.3):
         assert phi(r) == exact(r)
 
-    # model1 paths at 0 whose last nodes are 2e4 and 3e4: I_N is about 3980
-    # and span(C) = 1, so the factors e^{+-s0 C} reach e^{1990}, past the
-    # float range.
+    # model1 paths at 0 whose last nodes are 2e4 and 3e4: I_N of the full
+    # bundle is about 3980 and span(C) = 1, so there the factors e^{+-sC}
+    # reach e^{1990}, past the float range.
     values = np.array([[0.0, 0.0, 2e4], [0.0, 0.0, 3e4]])
     bundle = PathBundle(grid=grid, values=values, kind="solution")
     cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.8), 1.0)
     assert cache.stats().i_n == pytest.approx(3980.0, rel=1e-3)
     stats = cache.stats(1)
     phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
-    assert not cache._one_row and cache._taylor is None
+    assert not cache._one_row
     for s in (0.0, 0.5, 1.0):
         assert phi(s - stats.i_n) == exact(s - stats.i_n)
 
@@ -608,7 +559,6 @@ def test_one_row_phi_matches_oracle(model):
                               stats.d_n, stats.i_n)
             assert phi(r) == exact(r)
             assert phi(r) == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert "_taylor" not in vars(cache)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +618,8 @@ def test_estimates_match_scalar_solve(case):
                     aci_lower=reported - half, aci_upper=reported + half, ybar=ybar)
         assert dict(zip(rows.dtype.names, row.tolist())) == want  # bitwise, field by field
     assert diverged == want_diverged
-    # A linear drift's cache keeps one row and builds no Taylor table.
+    # A linear drift's cache keeps one row.
     assert cache._one_row == (name in ("model2", "custom:-2,1"))
-    assert ("_taylor" in vars(cache)) != cache._one_row
 
 
 def test_estimates_nan_rows_where_dn_vanishes():
@@ -750,12 +699,10 @@ def test_picard_counts_pinned(case):
 # ---------------------------------------------------------------------------
 
 def chunk_caches():
-    """Five caches of 40 paths: three model1 caches with Taylor tables, a model1
-    cache whose last path jumps to -2e5 (I of the full bundle is about -9600, so
-    the factors e^{+-s0 C} overflow and there is no table, while the proper
-    prefixes are those of the first cache), and a model2 cache of zero paths,
-    with D_N = 0 throughout and one row. With theta0 = 0.2, I_N is small enough
-    that a table would serve the first Picard steps."""
+    """Five caches of 40 paths: three model1 caches, a model1 cache whose last
+    path jumps to -2e5 (I of the full bundle is about -9600, so its factors
+    e^{+-sC} overflow, while the proper prefixes are those of the first cache),
+    and a model2 cache of zero paths, with D_N = 0 throughout and one row."""
     drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(3)]
@@ -776,13 +723,9 @@ def test_stacked_solve_matches_each_cache(points):
     assert rows.shape == (5, len(points))
     for t in range(5):
         assert rows[t].tobytes() == alone[t].tobytes()
-    # The jumping cache has no table: every Picard step of each of its
-    # prefixes is the exact sum of that prefix.
-    caches = chunk_caches()
-    FbmEstimatorCache.solve(caches, points)
-    assert "_taylor" not in vars(caches[4])
-    assert [cache._taylor is None for cache in caches[:4]] == [False, False, False, True]
-    jump = caches[3]
+    # Every Picard step of each proper prefix of the jumping cache is the exact
+    # sum of that prefix.
+    jump = chunk_caches()[3]
     for m, row in zip(points, rows[3]):
         if m < 40:
             limit = iteration_schedule(m, 0.5, jump.t_total, 1.0, jump.hurst)
@@ -805,12 +748,11 @@ def test_solve_without_residual_changes_no_other_field(points):
 
 def exact_sum_caches():
     """Five model1 caches of 40 paths whose Picard steps take the exact sum in
-    every way: two plain ones (the full bundle), one whose last path jumps to
-    2000 (I of the full bundle is about 32, so the table exists but fails its
-    bound on every proper prefix), one whose last path jumps to -2e5 (no
-    table, and the full bundle's factors e^{+-sC} overflow: the direct sum),
-    and 40 copies of a path that jumps to 2e4 (one row, I about 4250: its
-    factors overflow on every prefix, while the direct sum stays finite)."""
+    every way: two plain ones, one whose last path jumps to 2000 (I of the
+    full bundle is about 32), one whose last path jumps to -2e5 (the full
+    bundle's factors e^{+-sC} overflow: the direct sum), and 40 copies of a
+    path that jumps to 2e4 (one row, I about 4250: its factors overflow on
+    every prefix, while the direct sum stays finite)."""
     drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(2)]
@@ -849,22 +791,19 @@ def test_stacked_exact_sum_matches_each_cache(points):
     ns = np.array(points)
     stats, _ = FbmEstimatorCache._pair_stats(caches, ns)
     phi = FbmEstimatorCache._phi_pairs(caches, ns, stats)
-    full, fallback, overflow, copies = caches[0], caches[2], caches[3], caches[4]
-    assert fallback._taylor is not None and overflow._taylor is None
+    overflow, copies = caches[3], caches[4]
     assert [cache._one_row for cache in caches] == [False] * 4 + [True]
     for cache in (overflow, copies):
         assert 0.5 * abs(cache.stats().i_n) * cache._c_reach[-1] > _MAX_FACTOR_EXPONENT
-    # Every pair the table cannot serve, at two iterates: the stacked sum is the
-    # 2-D one bit for bit, and `_phi_exact`'s where a factor would overflow; on
-    # the copies, n times one row's direct sum, as the loop-written oracle sums.
+    # Every pair, at two iterates: the stacked sum is `_phi_exact`'s, and the
+    # 2-D one bit for bit where no factor would overflow; on the copies, n
+    # times one row's direct sum, as the loop-written oracle sums.
     k = np.arange(len(caches) * len(ns))
     t_nodes, t_total = copies.paths.grid.nodes, copies.t_total
     for r in (0.0, 0.3):
         values = phi(k, np.full(len(k), r))
         for (t, m), value in zip(np.ndindex(len(caches), len(ns)), values.tolist()):
             n, cache = int(ns[m]), caches[t]
-            if n < 40 and cache in (full, caches[1]):
-                continue  # served by the table
             prefix = cache.stats(n)
             assert value == cache._phi_exact(n, prefix)(r)
             if cache is copies and n in (ns[0], ns[-1]):
@@ -894,7 +833,6 @@ def test_mixed_chunk_gives_each_cache_its_bits_alone():
         rows = FbmEstimatorCache.solve(caches, points, **settings)
         for t, cache in enumerate(caches):
             assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
-    assert [("_taylor" in vars(cache)) for cache in caches] == [True, False, True, False]
 
 
 def test_stacked_bm_solve_matches_each_cache():

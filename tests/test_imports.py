@@ -45,15 +45,25 @@ def test_private_import_check_sees_both_forms(tmp_path):
 
 
 def unreferenced_private_definitions(paths: list[Path]) -> list[str]:
-    """`_`-prefixed functions, methods and classes defined in these modules whose
-    name no other name, attribute or import in them reads; dunders excepted."""
+    """`_`-prefixed functions, methods, classes and module-level assignments
+    defined in these modules whose name no other name, attribute or import in
+    them reads; dunders excepted."""
     defined, read = [], set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.startswith("_") \
+                            and not name.id.endswith("__"):
+                        defined.append(name.id)
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if node.name.startswith("_") and not node.name.endswith("__"):
                     defined.append(node.name)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
@@ -77,6 +87,15 @@ def test_dead_helper_check_sees_functions_methods_and_classes(tmp_path):
                     "    def _stale(self):\n        pass\n\n"
                     "class _Gone:\n    pass\n", encoding="utf-8")
     assert unreferenced_private_definitions([path]) == ["_Gone", "_dead", "_stale"]
+
+
+def test_dead_helper_check_sees_module_constants(tmp_path):
+    # A constant is read by a name or an attribute, not by its own assignment.
+    path = tmp_path / "m.py"
+    path.write_text("import math\n_LIMIT = 3\n_STALE, _WIDTH = 1.0, 2\n_EPS: float = 1e-16\n"
+                    "_FACT = math.factorial(_LIMIT)\n__all__ = []\n\n"
+                    "def used():\n    _local = _FACT\n    return _local\n", encoding="utf-8")
+    assert unreferenced_private_definitions([path]) == ["_EPS", "_STALE", "_WIDTH"]
 
 
 def test_all_lists_exactly_the_imported_public_names():

@@ -74,15 +74,13 @@ def test_constant_drift_trajectory_is_identity_statistic():
     assert np.all(t["r_n"] == 0.0)
 
 
-def test_largest_eval_point_below_n_max_builds_no_taylor_table(monkeypatch):
+def test_largest_eval_point_below_n_max_matches_the_truncated_bundle():
     # The shared cache holds only the largest evaluated prefix, so its one
-    # eval point is its full bundle, served by the exact sum.
+    # eval point is its full bundle.
     cfg = model2_config(eval_points=(5,), n_max=10, replications=1)
     paths = montecarlo.simulate_bundle(cfg, montecarlo.trial_rng(cfg, 0), 10)
     want = FbmEstimatorCache(replace(paths, values=paths.values[:5]), cfg.drift(),
                              cfg.hurst_params(), cfg.sigma).estimate()
-    monkeypatch.setattr(FbmEstimatorCache, "_taylor",
-                        property(lambda self: pytest.fail("the Taylor table was built")))
     t = run_trial(cfg, 0)
     assert t.shape == (1,)
     assert t["estimate"][0] == want.theta_tilde
