@@ -28,7 +28,7 @@ value is the exact sum of its prefix, along one path:
   Picard step, on a proper prefix as on the full bundle.
 - A Picard step makes one call per row count over every cache of the chunk,
   a gemm per pair; a pair whose factors e^{+-sC} would overflow is summed by
-  `_phi_exact` instead.
+  `_phi_rows` instead, term by term on each row where they would.
 """
 
 from __future__ import annotations
@@ -222,13 +222,21 @@ def _phi_factorized(s: np.ndarray, bp: np.ndarray, c: np.ndarray, tri: np.ndarra
     return (a.reshape(flat)[:, None] @ q.reshape(flat)[..., None]).reshape(-1)
 
 
-def _phi_direct(s: float, bp: np.ndarray, c: np.ndarray, tri: np.ndarray) -> float:
-    """One path's sum_{l<j} b'(X(t_j)) tri[j-1, l] e^{s(C_j - C_l)}, term by term."""
-    # tril zeroes the exponents of the pairs l >= j, whose e^0 = 1 meets tri's zeros.
-    e = np.tril(s * np.subtract.outer(c[1:], c[:-1]))
-    np.exp(e, out=e)
-    e *= tri
-    return float(bp @ e.sum(axis=1))
+def _phi_rows(s: float, bp: np.ndarray, c: np.ndarray, span: np.ndarray,
+              tri: np.ndarray) -> float:
+    """sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j over the rows i of bp and c: one
+    `_phi_factorized` call over the rows whose factors e^{+-sC_i} stay in the float
+    range, and each other row term by term. An overflow surfaces as a non-finite value."""
+    with np.errstate(all="ignore"):
+        direct = 0.5 * abs(s) * span > _MAX_FACTOR_EXPONENT
+        rows = np.flatnonzero(direct)
+        # Row i term by term, sum_{l<j} b'_ij tri[j-1, l] e^{s(C_ij - C_il)}: tril zeroes
+        # the exponents of the pairs l >= j, whose e^0 = 1 meets tri's zeros.
+        terms = (np.exp(np.tril(s * np.subtract.outer(c[i, 1:], c[i, :-1]))) * tri for i in rows)
+        # From -0.0, so that with no such row the total is the factorized sum.
+        total = sum((float(bp[i] @ e.sum(axis=1)) for i, e in zip(rows, terms)), -0.0)
+        rest = _phi_factorized(np.array([s]), bp[None, ~direct], c[None, ~direct], tri)
+        return total + float(rest[0])
 
 
 def check_omega(
@@ -429,7 +437,8 @@ class FbmEstimatorCache:
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
         """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N:
-        the `_phi_pairs` value of the one pair (this cache, n), bitwise `_phi_exact`'s."""
+        the `_phi_pairs` value of the one pair (this cache, n): where a factor e^{+-sC}
+        would overflow, scale times `_phi_rows` over the pair's rows."""
         phi = self._phi_pairs([self], np.array([n]), SufficientStats(
             *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
         return lambda r: float(phi(np.zeros(1, dtype=np.int64), np.array([r]))[0])
@@ -439,7 +448,9 @@ class FbmEstimatorCache:
                    stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
         (k, r): the exact sum over the pair's rows, 1 on a cache of one row and n
-        on the others. Each pair gets the bits it gets alone."""
+        on the others. Each pair gets the bits it gets alone: a pair whose factors
+        e^{+-sC} would overflow takes `_phi_rows` over its rows, the others one stacked
+        `_phi_factorized` call per row count."""
         n_paths, tri = caches[0].paths.n_paths, caches[0]._tri
         trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
         # A pair of a cache of one row sums that row, n times; another, its first n rows.
@@ -468,12 +479,14 @@ class FbmEstimatorCache:
             for m in counts if by_rows is None else np.flatnonzero(np.bincount(by_rows)).tolist():
                 j = np.arange(len(k)) if by_rows is None else np.flatnonzero(by_rows == m)
                 e, s_j = k[j], s[j]
-                # As in `_phi_exact`: one factorized sum where no factor can overflow.
+                # One stacked factorized sum where no factor can overflow; a pair
+                # where one can is summed alone, row by row.
                 fit = 0.5 * np.abs(s_j) * reach[e] <= _MAX_FACTOR_EXPONENT
                 if not fit.all():
                     for jj, ee in zip(j[~fit].tolist(), e[~fit].tolist()):
-                        prefix = SufficientStats(stats.d_n[ee], stats.i_n[ee], stats.m_n[ee])
-                        values[jj] = caches[trial[ee]]._phi_exact(n[ee], prefix)(r[jj])
+                        x = caches[trial[ee]]
+                        values[jj] = scale[ee] * _phi_rows(s[jj], x._bp[:m], x._c[:m],
+                                                           x._c_span[:m], tri)
                     j, e, s_j = j[fit], e[fit], s_j[fit]
                 if not j.size:
                     continue
@@ -485,30 +498,6 @@ class FbmEstimatorCache:
             return values
 
         return phi
-
-    def _phi_exact(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
-        """Phi_N of the first n paths as the factorized sum over the cache's first
-        m = n rows, or on a cache of one row as n times the sum over its m = 1 row.
-
-        A row whose factors e^{+-sC_i} would leave the float range is summed
-        pair by pair instead; the result is the same sum either way.
-        """
-        m = 1 if self._one_row else n
-        bp, c, span, tri = self._bp[:m], self._c[:m], self._c_span[:m], self._tri
-        scale = self._scale(n, stats.d_n) * (n if self._one_row else 1)
-        i_n = stats.i_n
-
-        def _phi(r: float) -> float:
-            s = r + i_n
-            # An overflow surfaces as a non-finite value, which fixed_point reports.
-            with np.errstate(all="ignore"):
-                direct = 0.5 * abs(s) * span > _MAX_FACTOR_EXPONENT
-                # From -0.0, so that with no direct row the sum is the factorized one.
-                total = sum((_phi_direct(s, bp[i], c[i], tri) for i in np.flatnonzero(direct)), -0.0)
-                rest = _phi_factorized(np.array([s]), bp[None, ~direct], c[None, ~direct], tri)
-                return scale * (total + float(rest[0]))
-
-        return _phi
 
     def _scale(self, n, d_n):
         """-alpha sigma^2 / (N T D_N), for scalars or arrays over prefixes."""

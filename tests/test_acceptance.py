@@ -242,10 +242,10 @@ def test_criterion_8_threshold_behavior():
         grid = [start + step * k for k in range(count)]
         cfg = ExperimentConfig(model=model, hurst=0.9, horizon=horizon,
                                sigma=sigma, n_max=15, replications=100, seed=2)
-        report = threshold_sweep(cfg, [0.0, dmax] + grid, 15, workers=WORKERS)
-        err0 = report.per_threshold[0][1]
-        err_dmax = report.per_threshold[1][1]
-        err_top = report.per_threshold[-1][1]
+        curve = threshold_sweep(cfg, [0.0, dmax] + grid, 15, workers=WORKERS)
+        err0 = curve[0][1]
+        err_dmax = curve[1][1]
+        err_top = curve[-1][1]
         flat = abs(err_dmax - err0) <= 0.10 * err0
         exploded = err_top >= 5.0 * err0
         ok = ok and flat and exploded

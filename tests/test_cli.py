@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -631,6 +632,26 @@ def test_sweep_outputs(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "threshold,mean_error"
     assert len(lines) == 32
+
+
+@pytest.mark.parametrize("command,extra,finished,files", [
+    ("experiment", [], "experiment finished in ", ["summary.csv", "trajectories.csv"]),
+    ("coverage", [], "coverage run finished in ", ["summary.csv"]),
+    ("sweep", ["--grid", "0:0.5:4"], "sweep finished in ", ["sweep.csv"]),
+])
+def test_verbosity_logs_the_timing_and_each_file(tmp_path, capsys, command, extra, finished,
+                                                 files):
+    # verbosity=1 adds stderr lines only: the command's timing, then one per file.
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert run_cli(command, *common_args(quiet), *extra) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli(command, *common_args(loud, verbosity=1), *extra) == 0
+    timing, *wrote = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(re.escape(finished) + r"\d+\.\d\ds( \(\w+=\S+\))?", timing), timing
+    assert wrote == [f"wrote {loud / name}" for name in files]
+    assert sorted(p.name for p in loud.iterdir()) == files
+    for name in files:
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes()
 
 
 def test_coverage_outputs(tmp_path):

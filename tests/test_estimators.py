@@ -23,7 +23,7 @@ from fpdrift import (
     iteration_schedule,
     normal_quantile,
 )
-from fpdrift.estimators import FBM_ROW, _prefix_sums
+from fpdrift.estimators import FBM_ROW, _phi_rows, _prefix_sums
 from tests.conftest import solution_bundle
 
 
@@ -444,6 +444,15 @@ def test_prefix_estimates_match_direct(model, seed):
 # Phi_N is the exact sum on every prefix.
 # ---------------------------------------------------------------------------
 
+def exact_phi(cache, n, stats):
+    """Phi_N of the first n paths, one `_phi_rows` sum alone: over the first n rows,
+    or n times over the one row of a cache that keeps one."""
+    m, times = (1, n) if cache._one_row else (n, 1)
+    scale = cache._scale(n, stats.d_n) * times
+    return lambda r: scale * _phi_rows(r + stats.i_n, cache._bp[:m], cache._c[:m],
+                                       cache._c_span[:m], cache._tri)
+
+
 @settings(max_examples=30, deadline=None)
 @given(model=st.sampled_from(sorted(PHI_MODELS)), seed=st.integers(0, 10**6),
        n=st.integers(2, 12), h=st.floats(0.6, 0.95),
@@ -455,7 +464,7 @@ def test_phi_is_the_exact_sum(model, seed, n, h, rs):
     cache = FbmEstimatorCache(bundle, drift_model(name), HurstParams(h=h), sigma)
     for m in range(1, n):
         stats = cache.stats(m)
-        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
+        phi, exact = cache.phi(m, stats), exact_phi(cache, m, stats)
         points = [0.0, *rs]
         try:  # the fixed point, where the Picard iterates end up
             points.append(fixed_point(exact, 60, 1e-14)[0])
@@ -480,7 +489,7 @@ def test_phi_matches_oracle_at_far_iterates(model):
     drift = drift_model(name)
     cache = FbmEstimatorCache(bundle, drift, HurstParams(h=h), sigma)
     stats = cache.stats(2)
-    phi, exact = cache.phi(2, stats), cache._phi_exact(2, stats)
+    phi, exact = cache.phi(2, stats), exact_phi(cache, 2, stats)
     for r in rs:
         assert phi(r) == exact(r)
         want = oracle_phi(r, bundle.values[:2], t, T, drift.b_prime, h, sigma,
@@ -493,7 +502,7 @@ def test_full_bundle_estimate_is_the_scalar_iteration():
     cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.7), 1.0)
     est = cache.estimate(max_iters=30, tol=1e-12)
     stats = cache.stats()
-    r, iterations, residual = fixed_point(cache._phi_exact(6, stats), 30, 1e-12)
+    r, iterations, residual = fixed_point(exact_phi(cache, 6, stats), 30, 1e-12)
     assert (est.r_n, est.iterations, est.residual) == (r, iterations, residual)
     # A solve of a prefix leaves the full bundle's bits as they were.
     cache.estimate(3, max_iters=30, tol=1e-12)
@@ -509,7 +518,7 @@ def test_phi_is_exact_on_prefixes_of_degenerate_bundles():
                        kind="solution")
     cache = FbmEstimatorCache(roots, drift_model("custom:-1,0,1,0"), HurstParams(h=0.8), 1.0)
     stats = SufficientStats(d_n=1.0, i_n=0.5, m_n=1.0)
-    phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
+    phi, exact = cache.phi(1, stats), exact_phi(cache, 1, stats)
     assert not cache._one_row
     for r in (0.0, 0.3):
         assert phi(r) == exact(r)
@@ -522,7 +531,7 @@ def test_phi_is_exact_on_prefixes_of_degenerate_bundles():
     cache = FbmEstimatorCache(bundle, drift_model("model1"), HurstParams(h=0.8), 1.0)
     assert cache.stats().i_n == pytest.approx(3980.0, rel=1e-3)
     stats = cache.stats(1)
-    phi, exact = cache.phi(1, stats), cache._phi_exact(1, stats)
+    phi, exact = cache.phi(1, stats), exact_phi(cache, 1, stats)
     assert not cache._one_row
     for s in (0.0, 0.5, 1.0):
         assert phi(s - stats.i_n) == exact(s - stats.i_n)
@@ -545,7 +554,7 @@ def test_one_row_phi_matches_oracle(model):
     rows = cache.estimates(range(1, n + 1), tol=tol)
     for m in (1, 2, n // 2, n):
         stats = cache.stats(m)
-        phi, exact = cache.phi(m, stats), cache._phi_exact(m, stats)
+        phi, exact = cache.phi(m, stats), exact_phi(cache, m, stats)
         limit = iteration_schedule(m, 0.5, T, drift.sup_norm_b_prime, hurst)
         r_star, iterations, residual = fixed_point(phi, limit, tol)
         # The stacked solve is the scalar Picard iteration over phi, bit for bit.
@@ -729,7 +738,7 @@ def test_stacked_solve_matches_each_cache(points):
     for m, row in zip(points, rows[3]):
         if m < 40:
             limit = iteration_schedule(m, 0.5, jump.t_total, 1.0, jump.hurst)
-            r, iterations, residual = fixed_point(jump._phi_exact(m, jump.stats(m)), limit,
+            r, iterations, residual = fixed_point(exact_phi(jump, m, jump.stats(m)), limit,
                                                   1e-12)
             assert (row["r_n"], row["iterations"], row["residual"]) == (r, iterations, residual)
     assert np.isnan(rows["estimate"][4]).all() and not rows["omega"][4].any()
@@ -795,7 +804,7 @@ def test_stacked_exact_sum_matches_each_cache(points):
     assert [cache._one_row for cache in caches] == [False] * 4 + [True]
     for cache in (overflow, copies):
         assert 0.5 * abs(cache.stats().i_n) * cache._c_reach[-1] > _MAX_FACTOR_EXPONENT
-    # Every pair, at two iterates: the stacked sum is `_phi_exact`'s, and the
+    # Every pair, at two iterates: the stacked sum is `exact_phi`'s, and the
     # 2-D one bit for bit where no factor would overflow; on the copies, n
     # times one row's direct sum, as the loop-written oracle sums.
     k = np.arange(len(caches) * len(ns))
@@ -805,7 +814,7 @@ def test_stacked_exact_sum_matches_each_cache(points):
         for (t, m), value in zip(np.ndindex(len(caches), len(ns)), values.tolist()):
             n, cache = int(ns[m]), caches[t]
             prefix = cache.stats(n)
-            assert value == cache._phi_exact(n, prefix)(r)
+            assert value == exact_phi(cache, n, prefix)(r)
             if cache is copies and n in (ns[0], ns[-1]):
                 want = oracle_phi(r, copies.paths.values[:n], t_nodes, t_total,
                                   copies.drift.b_prime, 0.7, 1.0, prefix.d_n, prefix.i_n)

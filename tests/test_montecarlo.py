@@ -340,10 +340,10 @@ def test_summarize_order_invariant(values):
 
 def test_threshold_sweep_endpoints():
     cfg = model2_config(replications=10, n_max=8)
-    report = threshold_sweep(cfg, [0.0, 1e9], n_fixed=8)
-    assert len(report.per_threshold) == 2
-    d0, err0 = report.per_threshold[0]
-    dbig, errbig = report.per_threshold[1]
+    curve = threshold_sweep(cfg, [0.0, 1e9], n_fixed=8)
+    assert len(curve) == 2
+    d0, err0 = curve[0]
+    dbig, errbig = curve[1]
     # d = 0: indicator always 1, the Omega-gated error itself.
     trials = run_trials(model2_config(replications=10, n_max=8,
                                       eval_points=(8,)), workers=1)
@@ -352,6 +352,29 @@ def test_threshold_sweep_endpoints():
     assert err0 == pytest.approx(expect, rel=1e-12)
     # d beyond every observed D_N: estimator collapses to 0, error = |theta0|.
     assert errbig == pytest.approx(abs(cfg.theta0))
+
+
+@pytest.mark.parametrize("mode", ["fbm", "bm"])
+def test_sweep_d_gate_is_the_truncated_estimate_of_solve(mode):
+    # The sweep's D gate, at 0 and between observed D_N values, against the
+    # truncated estimate of `solve` at each threshold: theta_cd in fbm mode
+    # (theta_C, gated on Omega_N, which fails in 1 of these 10 trials) and
+    # estimate_d in bm mode, bit for bit.
+    cfg = ExperimentConfig(model="model2", hurst=0.7 if mode == "fbm" else 0.5, horizon=2.5,
+                           sigma=1.0, n_max=20, replications=10, seed=0, mode=mode)
+    field = "theta_cd" if mode == "fbm" else "estimate_d"
+    final = run_trials(replace(cfg, eval_points=(20,)))[:, 0]
+    # A failed row would be NaN in theta_cd but 0 in the sweep: these have none.
+    assert np.isfinite(final["estimate"]).all()
+    assert (~final["omega"]).sum() == (1 if mode == "fbm" else 0)
+    d_n = np.sort(final["d_n"])
+    thresholds = [0.0, *((d_n[:-1] + d_n[1:]) / 2)[::3].tolist()]
+    curve = threshold_sweep(cfg, thresholds, n_fixed=20)
+    assert [d for d, _ in curve] == thresholds
+    for d, err in curve:
+        rows = [run_trial(replace(cfg, eval_points=(20,), d_threshold=d), i)[0]
+                for i in range(cfg.replications)]
+        assert err == np.abs(np.array([row[field] for row in rows]) - cfg.theta0).mean()
 
 
 def test_threshold_sweep_validation():

@@ -94,3 +94,19 @@ def test_output_digests_against_a_kept_copy(tmp_path):
     assert (case, workers, name, what) == ("estimate-fbm", "w1", "estimate.json", "max_rel")
     assert float(rel) == pytest.approx(1e-10, rel=0.01)
     assert lines[1] == "custom-nan-rows w1 trajectories.csv mismatch"
+    # The residual |Phi_N(R_N) - R_N| is rounding-sized, so it is measured on the
+    # scale of R_N: a move by 15% of itself is a rounding-level move of R_N, and a
+    # move by 1e-3 |R_N| still reads 1e-3.
+    original = json.loads((kept / "estimate-fbm" / "w1.stdout").read_text())
+    assert original["residual"] > 0.0
+    for moved, want in ((0.15 * original["residual"], None), (1e-3 * abs(original["R_N"]), 1e-3)):
+        estimate.write_text(json.dumps(original | {"residual": original["residual"] + moved},
+                                       indent=2))
+        lines = run_script("output_digests.py", "--case", "estimate-fbm", "--against", str(kept))
+        assert [line.split()[:4] for line in lines] == [
+            ["estimate-fbm", "w1", "estimate.json", "max_rel"]]
+        rel = float(lines[0].split()[4])
+        if want is None:
+            assert 0.0 < rel <= 1e-15
+        else:
+            assert rel == pytest.approx(want, rel=1e-6)
