@@ -105,6 +105,11 @@ CASES: dict[str, list[str]] = {
     # a trial with no final estimate (exit 3).
     "custom-nan-rows": ["experiment", *_sets(*_CUSTOM, "x0=1")],
     "custom-undefined-final": ["experiment", *_sets(*_CUSTOM, "x0=0")],
+    # The sweep refuses the trial whose iterate diverges at x0 = 0 (exit 3).
+    "sweep-custom-undefined": ["sweep", *_sets(*_CUSTOM, "x0=0"), "--grid", "0:0.5:3"],
+    # A linear drift of positive slope, b' = 0.5: Phi_N's lag terms e^{s beta t_k} grow.
+    "custom-positive-slope": ["experiment", *_sets("model=custom:0.5,1", "H=0.7", "T=1",
+                                                   "sigma=1", "x0=1", *_SMALL)],
     # The same NaN rows in JSON, where they are written as null.
     "custom-nan-rows-json": ["experiment", *_sets(*_CUSTOM, "x0=1"), "--format", "json"],
     # I_N is far from 0 on T = 5, so the factors e^{+-sC} of Phi_N are large.

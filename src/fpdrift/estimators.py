@@ -11,24 +11,23 @@ All integrals are replaced by left-point Riemann sums on the bundle's grid.
 The singular kernel |t - s|^(2H-2) is only evaluated at distinct nodes since
 inner sums always exclude the diagonal.
 
-Phi_N's double sum over node pairs factorizes as
-e^{s(C_j - C_l)} = e^{sC_j} e^{-sC_l}, so one exact evaluation costs
-O(N*steps) `exp` calls plus one (N x steps) @ (steps x steps) matmul, and the
-cache holds O(N*steps + steps^2) numbers. The kernels depend only on (H, grid)
-and are built once per process.
+Where b'(X) is one constant beta on every node of every path (any linear
+drift, such as model2's b(x) = -x), C_j - C_l = beta (t_j - t_l), so each term
+of Phi_N's double sum depends only on its lag k = j - l: Phi_N(s) is
+scale N beta sum_k W_k e^{s beta t_k}, W_k the sum of tri's (k-1)-th
+subdiagonal. Such a cache keeps beta alone, O(steps) memory with the weights,
+and a Picard step costs O(P*steps) `exp` calls over P pairs. On the other
+caches the sum factorizes as e^{s(C_j - C_l)} = e^{sC_j} e^{-sC_l}: a prefix n
+costs O(n*steps) `exp` calls and one (n x steps) @ (steps x steps) matmul, and
+the cache holds O(N*steps + steps^2) numbers. The kernels are built once per
+(H, grid) and process.
 
 `FbmEstimatorCache.solve(caches, points)` solves all prefixes N in points (the
 Monte Carlo engine: N = 1..n_max) of caches of one config in one vectorized
 Picard iteration, bitwise as `cache.estimates(points)` on each. Every Phi_N
-value is the exact sum of its prefix, along one path:
-- Where b'(X) is the same on every path (any linear drift, such as model2's
-  b(x) = -x, or copies of one path), so is C: the cache keeps that one row,
-  and the sum of a prefix n is n times that row's, whatever n is.
-- On the other caches a prefix n sums its first n rows, O(n*steps^2) per
-  Picard step, on a proper prefix as on the full bundle.
-- A Picard step makes one call per row count over every cache of the chunk,
-  a gemm per pair; a pair whose factors e^{+-sC} would overflow is summed by
-  `_phi_rows` instead, term by term on each row where they would.
+value is the exact sum of its prefix: a Picard step makes one lag sum over the
+linear pairs and one call per row count over the others, a gemm per pair; a
+pair whose factors e^{+-sC} would overflow takes `_phi_rows`, term by term.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ class EstimateBM:
 
 
 # Rows of `FbmEstimatorCache.estimates`: the EstimateFBM fields in order, aci split.
-# Where D_N <= 0 (iterations 0) or an iterate diverged: NaN floats, omega False.
+# Where D_N <= 0 (iterations 0) or an iterate diverged: NaN floats but d_n, omega False.
 FBM_ROW = np.dtype([("estimate", float), ("r_n", float), ("iterations", np.int64),
                     ("residual", float), ("omega", bool), ("theta_c", float),
                     ("theta_cd", float), ("d_n", float), ("i_n", float),
@@ -163,8 +162,8 @@ def _check_per_path(per_path: np.ndarray, what: str) -> None:
 
 
 def _rows(dtype: np.dtype, defined: np.ndarray, **fields) -> np.ndarray:
-    """Structured rows of the given fields, floats NaN where not defined. A finite
-    estimate must have a finite interval."""
+    """Structured rows of the given fields, floats but d_n NaN where not defined, so
+    that D_N names a failure's cause. A finite estimate must have a finite interval."""
     width = fields["aci_upper"] - fields["aci_lower"]
     if not np.isfinite(width[defined & np.isfinite(fields["estimate"])]).all():
         raise DivergenceError("the confidence interval leaves the float range: "
@@ -172,7 +171,7 @@ def _rows(dtype: np.dtype, defined: np.ndarray, **fields) -> np.ndarray:
     rows = np.empty(defined.shape, dtype=dtype)
     for name, value in fields.items():
         rows[name] = value
-    rows[[name for name in fields if dtype[name] == float]][~defined] = np.nan
+    rows[[name for name in fields if dtype[name] == float and name != "d_n"]][~defined] = np.nan
     return rows
 
 
@@ -187,13 +186,14 @@ _MAX_FACTOR_EXPONENT = float(np.log(np.finfo(float).max)) - 32.0
 
 
 @functools.lru_cache(maxsize=8)
-def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, ...]:
     """The kernels of one (H, grid), built once per process and shared read-only.
 
     lag[j, l] = |t_j - t_l|^(2H-2) over nodes t_0..t_nu, zero on the diagonal;
     tri[j - 1, l] = (t_j - t_l)^(2H-2) mesh^2 for l < j, zero otherwise;
-    kappa = the row sums of tri. A run uses one (H, grid); the bound keeps a
-    long-lived process from holding every kernel it ever built.
+    kappa = the row sums of tri; weights[k - 1] = W_k, the sum of tri's (k-1)-th
+    subdiagonal (lag k). A run uses one (H, grid); the bound keeps a long-lived
+    process from holding every kernel it ever built.
     """
     t = grid.nodes
     dt = grid.mesh
@@ -203,9 +203,10 @@ def _kernels(hurst: HurstParams, grid: Grid) -> tuple[np.ndarray, np.ndarray, np
     np.fill_diagonal(lag, 0.0)
     tri = np.tril(lag[1:, :-1]) * dt * dt
     kappa = tri.sum(axis=1)
-    for a in (lag, tri, kappa):
+    weights = np.array([np.trace(tri, -k) for k in range(len(tri))])
+    for a in (lag, tri, kappa, weights):
         a.flags.writeable = False
-    return lag, tri, kappa
+    return lag, tri, kappa, weights
 
 
 def _phi_factorized(s: np.ndarray, bp: np.ndarray, c: np.ndarray, tri: np.ndarray,
@@ -237,6 +238,13 @@ def _phi_rows(s: float, bp: np.ndarray, c: np.ndarray, span: np.ndarray,
         total = sum((float(bp[i] @ e.sum(axis=1)) for i, e in zip(rows, terms)), -0.0)
         rest = _phi_factorized(np.array([s]), bp[None, ~direct], c[None, ~direct], tri)
         return total + float(rest[0])
+
+
+def _phi_lags(x: np.ndarray, times: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k W_k e^{x_p t_k} for each x_p = s beta: one linear path's sum, reduced on its
+    own row, not by a gemv, whose kernels may order a row's sum by its place in the block."""
+    e = np.multiply.outer(x, times)
+    return np.add.reduce(np.multiply(np.exp(e, out=e), weights, out=e), axis=1)
 
 
 def check_omega(
@@ -354,7 +362,7 @@ def _ybar_contributions(b: np.ndarray, bp: np.ndarray, hurst: HurstParams, grid:
     The quadruple sum factorizes over its two (outer, inner) index pairs into a
     perfect square, so it costs O(steps^2) per path and is never negative.
     """
-    lag, _, kappa = _kernels(hurst, grid)
+    lag, _, kappa, _ = _kernels(hurst, grid)
     babs = np.abs(b)
     double_term = hurst.alpha * grid.mesh * grid.mesh * ((babs @ lag[1:, 1:]) * babs).sum(axis=1)
     # kappa_j mesh = sum_{l<j} (t_j - t_l)^(2H-2) mesh^2, the row sums of tri
@@ -371,9 +379,8 @@ class FbmEstimatorCache:
     """Precomputes per-path statistics of a solution bundle once, then serves
     fixed-point estimates on path prefixes.
 
-    Phi_N of a prefix n is always the exact sum. Where b'(X) is equal on all
-    paths, the cache keeps one row of b'(X) and C (`_one_row`) and the sum reads
-    that row, n times; otherwise it reads the first n rows."""
+    Phi_N of a prefix n is always the exact sum: over the lags where b'(X) is one
+    constant beta (`_beta`), otherwise over the first n rows of b'(X) and C."""
 
     def __init__(self, paths: PathBundle, drift: DriftModel, hurst: HurstParams, sigma: float):
         if hurst.h <= 0.5:
@@ -393,22 +400,19 @@ class FbmEstimatorCache:
             y_i = _ybar_contributions(b[:, 1:], bp[:, 1:], hurst, paths.grid, sigma)
         self._per_path = np.stack([d_i, ib_i, y_i])
         _check_per_path(self._per_path, "b(X)^2 or the antiderivative of b")
-        # Where b'(X) is the same on every path (any linear drift, or copies of one
-        # path), so is C, and Phi_N of n paths is n times one path's sum: keep one row.
-        self._one_row = bool((bp == bp[0]).all())
-        if self._one_row:
-            bp = bp[:1]
-        # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
-        # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
-        c = np.zeros_like(bp)
-        np.cumsum(bp[:, :-1] * dt, axis=1, out=c[:, 1:])
-        c_min, c_max = c.min(axis=1), c.max(axis=1)
-        self._c = c - 0.5 * (c_min + c_max)[:, None]
-        self._c_span = c_max - c_min
-        # The widest span of each prefix's rows: of the one row, on a cache of one row.
-        self._c_reach = np.maximum.accumulate(np.broadcast_to(self._c_span, len(x)))
-        self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
-        self._tri = _kernels(hurst, paths.grid)[1]
+        # Where b'(X) is one constant beta on every node of every path (a linear
+        # drift), each term of Phi_N depends only on its lag: keep beta alone.
+        self._beta = float(bp.flat[0]) if (bp == bp.flat[0]).all() else None
+        if self._beta is None:
+            # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
+            # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
+            c = np.zeros_like(bp)
+            np.cumsum(bp[:, :-1] * dt, axis=1, out=c[:, 1:])
+            c_min, c_max = c.min(axis=1), c.max(axis=1)
+            self._c = c - 0.5 * (c_min + c_max)[:, None]
+            self._c_span = c_max - c_min
+            self._c_reach = np.maximum.accumulate(self._c_span)  # the widest of each prefix
+            self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
 
     @staticmethod
     def _pair_stats(caches, ns: np.ndarray) -> tuple[SufficientStats, np.ndarray]:
@@ -436,9 +440,7 @@ class FbmEstimatorCache:
         return float(self._pair_stats([self], np.array([n]))[1][0])
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
-        """Phi_N(r) = scale sum_i sum_j b'_ij e^{sC_ij} (tri e^{-sC_i})_j, s = r + I_N:
-        the `_phi_pairs` value of the one pair (this cache, n): where a factor e^{+-sC}
-        would overflow, scale times `_phi_rows` over the pair's rows."""
+        """Phi_N(r) at s = r + I_N: the `_phi_pairs` value of the one pair (this cache, n)."""
         phi = self._phi_pairs([self], np.array([n]), SufficientStats(
             *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
         return lambda r: float(phi(np.zeros(1, dtype=np.int64), np.array([r]))[0])
@@ -447,38 +449,38 @@ class FbmEstimatorCache:
     def _phi_pairs(caches, ns: np.ndarray,
                    stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
-        (k, r): the exact sum over the pair's rows, 1 on a cache of one row and n
-        on the others. Each pair gets the bits it gets alone: a pair whose factors
-        e^{+-sC} would overflow takes `_phi_rows` over its rows, the others one stacked
-        `_phi_factorized` call per row count."""
-        n_paths, tri = caches[0].paths.n_paths, caches[0]._tri
+        (k, r): the exact sum over the pair's n paths, with the bits the pair gets
+        alone. A pair of a linear cache sums its lags, `_phi_lags`; the others sum
+        their first n rows, one stacked `_phi_factorized` call per row count, or
+        `_phi_rows` alone where a factor e^{+-sC} would overflow."""
+        first, grid = caches[0], caches[0].paths.grid
+        _, tri, _, weights = _kernels(first.hurst, grid)
         trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
-        # A pair of a cache of one row sums that row, n times; another, its first n rows.
-        one_row = np.array([cache._one_row for cache in caches])[trial]
-        rows = np.where(one_row, 1, n)
-        # The row counts a pair can sum, sorted once here rather than on every step.
-        counts = sorted(({1} if one_row.any() else set())
-                        | (set() if one_row.all() else set(ns.tolist())))
-        scale = caches[0]._scale(n, stats.d_n) * np.where(one_row, n, 1)
-        # The widest span of C over each pair's rows.
-        reach = np.concatenate([cache._c_reach for cache in caches])[trial * n_paths + n - 1]
-        # One stack of every cache; a cache of one row is widened (a view) only
-        # beside caches that keep every row.
-        width = max(len(cache._bp) for cache in caches)
-        bp, c = (np.stack([a if len(a) == width else np.broadcast_to(a, (width, a.shape[1]))
-                           for a in (getattr(cache, name) for cache in caches)])
-                 for name in ("_bp", "_c"))
-        # Buffers for the most rows one exact call can read: its pairs times their count.
-        work = [np.empty(int(np.bincount(rows, rows).max()) * tri.shape[0]) for _ in range(2)]
+        scale = first._scale(n, stats.d_n)
+        linear = np.array([x._beta is not None for x in caches])
+        beta = np.array([x._beta or 0.0 for x in caches])[trial]
+        # The rows each pair sums: none on a linear cache, whose pairs sum the lags.
+        rows, lag_scale, times = np.where(linear[trial], 0, n), scale * n * beta, grid.nodes[1:]
+        # The other caches in one stack; slot is the place of a pair's cache in it.
+        rowed = [x for x in caches if x._beta is None]
+        if rowed:
+            slot = (np.cumsum(~linear) - 1)[trial]
+            # The widest span of C over each pair's rows (a linear pair's is unused).
+            reach = np.stack([x._c_reach for x in rowed])[slot, n - 1]
+            bp, c = (np.stack([getattr(x, name) for x in rowed]) for name in ("_bp", "_c"))
+            # Buffers for the most rows one call can read: its pairs times their count.
+            work = list(np.empty((2, len(rowed) * int(np.bincount(ns, ns).max()) * len(tri))))
 
         # An overflow surfaces as a non-finite value, which the Picard iteration reports.
         @np.errstate(all="ignore")
         def phi(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-            s, values = r + stats.i_n[k], np.empty(len(k))
-            by_rows = rows[k] if len(counts) > 1 else None
-            for m in counts if by_rows is None else np.flatnonzero(np.bincount(by_rows)).tolist():
-                j = np.arange(len(k)) if by_rows is None else np.flatnonzero(by_rows == m)
+            s, values, by_rows = r + stats.i_n[k], np.empty(len(k)), rows[k]
+            for m in np.flatnonzero(np.bincount(by_rows)).tolist():
+                j = np.flatnonzero(by_rows == m)
                 e, s_j = k[j], s[j]
+                if not m:
+                    values[j] = lag_scale[e] * _phi_lags(s_j * beta[e], times, weights)
+                    continue
                 # One stacked factorized sum where no factor can overflow; a pair
                 # where one can is summed alone, row by row.
                 fit = 0.5 * np.abs(s_j) * reach[e] <= _MAX_FACTOR_EXPONENT
@@ -491,8 +493,8 @@ class FbmEstimatorCache:
                 if not j.size:
                     continue
                 # One pair per cache, in order, as on most steps: no gathered copy.
-                t = trial[e]
-                every = len(t) == len(caches) and (t == np.arange(len(t))).all()
+                t = slot[e]
+                every = len(t) == len(rowed) and (t == np.arange(len(t))).all()
                 bp_m, c_m = (a[:, :m] if every else np.take(a[:, :m], t, axis=0) for a in (bp, c))
                 values[j] = scale[e] * _phi_factorized(s_j, bp_m, c_m, tri, work)
             return values
@@ -519,8 +521,10 @@ class FbmEstimatorCache:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if (max_iters is not None and max_iters < 1) or tol < 0.0:
             raise ValueError(f"need max_iters >= 1 and tol >= 0, got {max_iters} and {tol}")
-        if len({(x.paths.n_paths, x.paths.grid, x.hurst, x.sigma) for x in caches}) != 1:
-            raise ValueError("the caches must share n_paths, grid, H and sigma")
+        # The first cache's drift sets sup|b'|, Omega_N and the iteration limits of all.
+        if len({(x.paths.n_paths, x.paths.grid, x.hurst, x.sigma, x.drift.name)
+                for x in caches}) != 1:
+            raise ValueError("the caches must share n_paths, grid, H, sigma and drift")
         first = caches[0]
         ns = np.array([first.paths.n_paths] if points is None else points, dtype=np.int64)
         (stats, ybar), n = first._pair_stats(caches, ns), np.tile(ns, len(caches))

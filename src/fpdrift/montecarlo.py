@@ -125,9 +125,9 @@ class ExperimentConfig:
 
 
 # What a run keeps of each (trial, N) solve row: the fields that FBM_ROW and BM_ROW
-# share, packed. A row is NaN where its evaluation failed (degenerate statistics or
-# divergent iteration). In bm mode omega is True where the bm `estimate` would not
-# raise: D_{N,n} > 0, or d_threshold > 0, which makes it True on NaN rows too.
+# share, packed. A failed row (degenerate statistics or divergent iteration) is NaN
+# but its d_n. In bm mode omega is True where the bm `estimate` would not raise:
+# D_{N,n} > 0, or d_threshold > 0, which makes it True on NaN rows too.
 RESULT_ROW = np.dtype([("estimate", float), ("aci_lower", float), ("aci_upper", float),
                        ("omega", bool), ("d_n", float)])
 
@@ -416,6 +416,16 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> np.ndarray:
                 os.waitpid(pid, 0)
 
 
+def _refuse_undefined(n: int, d_n: np.ndarray, undefined: np.ndarray) -> None:
+    """Raise where the estimate at N = n is undefined in some trials, naming why."""
+    if undefined.any():
+        vanished = np.count_nonzero(~(d_n[undefined] > 0.0))
+        raise (DegenerateStatisticsError if vanished else DivergenceError)(
+            f"the estimate at N = {n} is undefined in {np.count_nonzero(undefined)} of "
+            f"{len(d_n)} trials (D_N <= 0 in {vanished}, a non-finite statistic or iterate "
+            f"in {np.count_nonzero(undefined) - vanished}); the summary would be NaN")
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryReport, np.ndarray]:
     """Replicated experiment: the summary of final (last eval point) errors, and the trials.
 
@@ -426,13 +436,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> tuple[SummaryR
     final, theta0 = trials[:, -1], config.theta0
     with np.errstate(over="ignore"):  # an infinite error is refused below
         errors = np.abs(final["estimate"] - theta0)
-    failed = np.flatnonzero(np.isnan(errors))
-    if failed.size:
-        vanished = np.count_nonzero(~(final["d_n"][failed] > 0.0))
-        raise (DegenerateStatisticsError if vanished else DivergenceError)(
-            f"the estimate at N = {config.points[-1]} is undefined in {failed.size} of "
-            f"{len(trials)} trials (D_N <= 0 in {vanished}, a non-finite statistic or "
-            f"iterate in {failed.size - vanished}); the summary would be NaN")
+    _refuse_undefined(config.points[-1], final["d_n"], np.isnan(errors))
     with np.errstate(all="ignore"):
         mean, std = summarize(errors)
     if not (math.isfinite(mean) and math.isfinite(std)):
@@ -451,18 +455,19 @@ def threshold_sweep(
     n_fixed: int,
     workers: int = 1,
 ) -> list[tuple[float, float]]:
-    """(threshold, mean error) of the Omega- and D-threshold-truncated estimator
-    at n_fixed paths, for each threshold, from one set of simulated trials."""
+    """(threshold, mean error) of the Omega- and D-threshold-truncated estimator at
+    n_fixed paths for each threshold, from one set of trials; raises where undefined."""
     if len(thresholds) == 0:
         raise ValueError("thresholds must be nonempty")
     if not 1 <= n_fixed <= config.n_max:
         raise ValueError("n_fixed must lie in 1..n_max")
     base = replace(config, eval_points=(n_fixed,), d_threshold=0.0, enforce_omega=True)
     rows = run_trials(base, workers)[:, 0]
-    # The estimate is solve's theta_C (0 off Omega_N); a failed row's NaN D_N gates it to 0.
+    # The estimate is solve's theta_C (0 off Omega_N), NaN where the trial failed.
     d_n, theta_c = rows["d_n"], rows["estimate"]
-    return [(float(d), float(np.abs(np.where(d_n >= d, theta_c, 0.0) - config.theta0).mean()))
-            for d in thresholds]
+    gated = np.where(d_n >= np.asarray(thresholds, dtype=float)[:, None], theta_c, 0.0)
+    _refuse_undefined(n_fixed, d_n, np.isnan(gated).any(axis=0))
+    return [(float(d), float(np.abs(g - config.theta0).mean())) for d, g in zip(thresholds, gated)]
 
 
 def coverage_experiment(config: ExperimentConfig, workers: int = 1) -> SummaryReport:

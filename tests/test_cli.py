@@ -511,9 +511,11 @@ def test_edge_values_end_in_a_documented_exit_code(run):
 # sha256 of the files these runs write; the warning goes to stderr only. Pinned
 # again when model2's Phi_N became n times one path's sum: every number moved
 # by at most rel 3.5e-16 from the files first pinned, before the warning existed.
+# Pinned once more when model2's Phi_N became a sum over the lags: every number
+# moved by at most rel 3.9e-16 from the previous pin.
 OMEGA_WARNING_FILES = {
-    "summary.csv": "3e6c5c6263004cadd571bc92c25574d8cb8e442d856b83dc3b0518a065767ef7",
-    "trajectories.csv": "1d9f1f498bc97a70abec68aad8259ea3ccbc0d0a07a94aeb146473e29d7b67ca",
+    "summary.csv": "739af421ab07f45441c94748a77a244931edcad9fb73d001f380e57bb9251fc8",
+    "trajectories.csv": "201e20168902257ecde1edb0f7fa643b37d80eb390ca2c508f3d15b51cc92cde",
 }
 
 
@@ -632,6 +634,24 @@ def test_sweep_outputs(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "threshold,mean_error"
     assert len(lines) == 32
+
+
+# b(x) = x - x^3 from x0 = 0.3 or 0: in one trial the Picard iterate at N = 20
+# leaves the float range while D_N > 0. The error names that cause, and the
+# sweep refuses the trial as `experiment` does, writing nothing.
+@pytest.mark.parametrize("command,x0,reps,seed,extra", [
+    ("experiment", "0.3", 40, "1", []),
+    ("sweep", "0", 20, "0", ["--grid", "0:0.5:3"]),
+])
+def test_a_divergent_trial_is_refused_as_one(tmp_path, capsys, command, x0, reps, seed, extra):
+    args = ["--set", "model=custom:-1,0,1,0", "--set", f"x0={x0}", "--set", "T=1",
+            "--set", "sigma=1", "--set", "H=0.7", "--set", "n_max=20",
+            "--set", f"replications={reps}", "--seed", seed, "--workers", "1"]
+    assert run_cli(command, *args, *extra, "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == (
+        f"error: the estimate at N = 20 is undefined in 1 of {reps} trials (D_N <= 0 in 0, "
+        "a non-finite statistic or iterate in 1); the summary would be NaN\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,extra,finished,files", [

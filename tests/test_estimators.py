@@ -23,7 +23,7 @@ from fpdrift import (
     iteration_schedule,
     normal_quantile,
 )
-from fpdrift.estimators import FBM_ROW, _phi_rows, _prefix_sums
+from fpdrift.estimators import FBM_ROW, _kernels, _phi_lags, _phi_rows, _prefix_sums
 from tests.conftest import solution_bundle
 
 
@@ -445,12 +445,16 @@ def test_prefix_estimates_match_direct(model, seed):
 # ---------------------------------------------------------------------------
 
 def exact_phi(cache, n, stats):
-    """Phi_N of the first n paths, one `_phi_rows` sum alone: over the first n rows,
-    or n times over the one row of a cache that keeps one."""
-    m, times = (1, n) if cache._one_row else (n, 1)
-    scale = cache._scale(n, stats.d_n) * times
-    return lambda r: scale * _phi_rows(r + stats.i_n, cache._bp[:m], cache._c[:m],
-                                       cache._c_span[:m], cache._tri)
+    """Phi_N of the first n paths, summed alone: on a linear cache one `_phi_lags`
+    sum, scale n beta sum_k W_k e^{s beta t_k}; on another `_phi_rows` over its
+    first n rows."""
+    scale, beta, grid = cache._scale(n, stats.d_n), cache._beta, cache.paths.grid
+    _, tri, _, weights = _kernels(cache.hurst, grid)
+    if beta is not None:
+        return lambda r: scale * n * beta * float(
+            _phi_lags(np.array([(r + stats.i_n) * beta]), grid.nodes[1:], weights)[0])
+    return lambda r: scale * _phi_rows(r + stats.i_n, cache._bp[:n], cache._c[:n],
+                                       cache._c_span[:n], tri)
 
 
 @settings(max_examples=30, deadline=None)
@@ -472,8 +476,8 @@ def test_phi_is_the_exact_sum(model, seed, n, h, rs):
             pass  # the sign-changing drift need not give a contraction
         for r in points:
             assert phi(r) == exact(r)
-    # b' = -1 on every model2 path: its cache keeps one row.
-    assert cache._one_row == (name == "model2")
+    # b' = -1 on every node of every model2 path: its cache sums the lags.
+    assert cache._beta == (-1.0 if name == "model2" else None)
 
 
 @pytest.mark.parametrize("model", ["model1", "sign-changing"])
@@ -513,13 +517,13 @@ def test_full_bundle_estimate_is_the_scalar_iteration():
 def test_phi_is_exact_on_prefixes_of_degenerate_bundles():
     grid = Grid(horizon=1.0, steps=2)
     # b(x) = x - x^3 vanishes along paths at 0 and 1: D_N = 0 on the full
-    # bundle. b' is 1 on one path and -2 on the other: two rows.
+    # bundle. b' is 1 on one path and -2 on the other: two rows, no lag sum.
     roots = PathBundle(grid=grid, values=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
                        kind="solution")
     cache = FbmEstimatorCache(roots, drift_model("custom:-1,0,1,0"), HurstParams(h=0.8), 1.0)
     stats = SufficientStats(d_n=1.0, i_n=0.5, m_n=1.0)
     phi, exact = cache.phi(1, stats), exact_phi(cache, 1, stats)
-    assert not cache._one_row
+    assert cache._beta is None
     for r in (0.0, 0.3):
         assert phi(r) == exact(r)
 
@@ -532,17 +536,31 @@ def test_phi_is_exact_on_prefixes_of_degenerate_bundles():
     assert cache.stats().i_n == pytest.approx(3980.0, rel=1e-3)
     stats = cache.stats(1)
     phi, exact = cache.phi(1, stats), exact_phi(cache, 1, stats)
-    assert not cache._one_row
+    assert cache._beta is None
     for s in (0.0, 0.5, 1.0):
         assert phi(s - stats.i_n) == exact(s - stats.i_n)
 
 
 # ---------------------------------------------------------------------------
-# Linear drifts: b' is the same on every path, so a cache keeps one row.
+# Linear drifts: b' is one constant beta, so a cache sums Phi_N over the lags.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("model", ["model2", "custom:-2,1"])
-def test_one_row_phi_matches_oracle(model):
+def test_lag_weights_are_the_subdiagonal_sums_of_tri():
+    grid, hurst = Grid(horizon=0.75, steps=9), HurstParams(h=0.7)
+    _, tri, _, weights = _kernels(hurst, grid)
+    nu, mesh = grid.steps, grid.mesh
+    assert weights.shape == (nu,) and not weights.flags.writeable
+    for k in range(1, nu + 1):
+        # The pairs (j, l = j - k), j = k..nu, all at t_j - t_l = k mesh.
+        entries = [tri[j - 1, j - k] for j in range(k, nu + 1)]
+        assert weights[k - 1] == pytest.approx(math.fsum(entries), rel=1e-15, abs=0.0)
+        assert weights[k - 1] == pytest.approx(
+            (nu - k + 1) * (k * mesh) ** (2 * hurst.h - 2) * mesh**2, rel=1e-13, abs=0.0)
+
+
+# beta < 0 (model2's -1, -2, -0.5) and beta = 2 > 0, where the terms grow with s.
+@pytest.mark.parametrize("model", ["model2", "custom:-2,1", "custom:2,1", "custom:-0.5,3"])
+def test_lag_phi_matches_oracle(model):
     from fpdrift.estimators import _MAX_FACTOR_EXPONENT
 
     h, sigma, n, tol = 0.7, 1.0, 8, 1e-12
@@ -550,7 +568,8 @@ def test_one_row_phi_matches_oracle(model):
     t, T = bundle.grid.nodes, bundle.grid.horizon
     drift, hurst = drift_model(model), HurstParams(h=h)
     cache = FbmEstimatorCache(bundle, drift, hurst, sigma)
-    assert cache._one_row and cache._bp.shape == (1, 12) and cache._c.shape == (1, 13)
+    beta = cache._beta
+    assert beta == drift.b_prime(np.zeros(1))[0] and not hasattr(cache, "_c")
     rows = cache.estimates(range(1, n + 1), tol=tol)
     for m in (1, 2, n // 2, n):
         stats = cache.stats(m)
@@ -560,10 +579,12 @@ def test_one_row_phi_matches_oracle(model):
         # The stacked solve is the scalar Picard iteration over phi, bit for bit.
         assert (rows["r_n"][m - 1], rows["iterations"][m - 1], rows["residual"][m - 1]) \
             == (r_star, iterations, residual)
-        # Far enough that a factor e^{+-sC} would overflow: the pair-by-pair sum.
-        r_far = 1500.0 / cache._c_span[0]
-        assert 0.5 * abs(r_far + stats.i_n) * cache._c_span[0] > _MAX_FACTOR_EXPONENT
-        for r in (0.0, r_star, r_far):
+        # Far enough that the factors e^{+-sC} of a row sum would overflow, on
+        # the side where the terms e^{s beta t_k} decay.
+        span = abs(beta) * T
+        r_far = -math.copysign(1500.0, beta) / span - stats.i_n
+        assert 0.5 * abs(r_far + stats.i_n) * span > _MAX_FACTOR_EXPONENT
+        for r in (0.0, 0.3, -40.0, 25.0, 300.0, r_star, r_far):
             want = oracle_phi(r, bundle.values[:m], t, T, drift.b_prime, h, sigma,
                               stats.d_n, stats.i_n)
             assert phi(r) == exact(r)
@@ -606,8 +627,9 @@ def test_estimates_match_scalar_solve(case):
             r, iterations, residual = fixed_point(cache.phi(m, stats), limit, tol)
         except DivergenceError as exc:
             diverged += 1
-            assert np.isnan([row[k] for k in ("estimate", "aci_lower", "d_n", "r_n",
+            assert np.isnan([row[k] for k in ("estimate", "aci_lower", "r_n",
                                               "residual", "ybar")]).all()
+            assert row["d_n"] == stats.d_n  # kept: the failure is no vanished D_N
             assert not row["omega"]
             assert f"after {row['iterations']} steps" in str(exc)
             with pytest.raises(DivergenceError, match=str(exc)):
@@ -627,8 +649,8 @@ def test_estimates_match_scalar_solve(case):
                     aci_lower=reported - half, aci_upper=reported + half, ybar=ybar)
         assert dict(zip(rows.dtype.names, row.tolist())) == want  # bitwise, field by field
     assert diverged == want_diverged
-    # A linear drift's cache keeps one row.
-    assert cache._one_row == (name in ("model2", "custom:-2,1"))
+    # A linear drift's cache sums the lags.
+    assert (cache._beta is not None) == (name in ("model2", "custom:-2,1"))
 
 
 def test_estimates_nan_rows_where_dn_vanishes():
@@ -638,14 +660,14 @@ def test_estimates_nan_rows_where_dn_vanishes():
     bundle = PathBundle(grid=grid, values=values, kind="solution")
     cache = FbmEstimatorCache(bundle, drift_model("custom:1,0"), HurstParams(h=0.8), 1.0)
     rows = cache.estimates([1, 2])
-    assert np.isnan(rows[0][["estimate", "aci_lower", "aci_upper", "d_n", "r_n",
+    assert np.isnan(rows[0][["estimate", "aci_lower", "aci_upper", "r_n",
                              "residual"]].tolist()).all()
-    assert (rows["omega"][0], rows["iterations"][0]) == (False, 0)
+    assert (rows["omega"][0], rows["iterations"][0], rows["d_n"][0]) == (False, 0, 0.0)
     with pytest.raises(DegenerateStatisticsError):
         cache.estimate(1)
     assert cache.estimate(2).theta_tilde == rows["estimate"][1]
     bm = BmEstimatorCache(bundle, drift_model("custom:1,0"), sigma=1.0).estimates([1, 2])
-    assert np.isnan(bm["estimate"][0]) and not bm["omega"][0]
+    assert np.isnan(bm["estimate"][0]) and not bm["omega"][0] and bm["d_n"][0] == 0.0
     truncated = BmEstimatorCache(bundle, drift_model("custom:1,0"), sigma=1.0).estimates(
         [1, 2], d_threshold=0.5)
     assert truncated["omega"][0] and truncated["estimate_d"][0] == 0.0
@@ -708,10 +730,10 @@ def test_picard_counts_pinned(case):
 # ---------------------------------------------------------------------------
 
 def chunk_caches():
-    """Five caches of 40 paths: three model1 caches, a model1 cache whose last
-    path jumps to -2e5 (I of the full bundle is about -9600, so its factors
-    e^{+-sC} overflow, while the proper prefixes are those of the first cache),
-    and a model2 cache of zero paths, with D_N = 0 throughout and one row."""
+    """Five model1 caches of 40 paths: three plain ones, one whose last path
+    jumps to -2e5 (I of the full bundle is about -9600, so its factors e^{+-sC}
+    overflow, while the proper prefixes are those of the first cache), and one
+    stuck at x = 0, where b' = -1 on every node: a lag sum."""
     drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(3)]
@@ -719,9 +741,8 @@ def chunk_caches():
     jump[-1] = 0.0
     jump[-1, -1] = -2e5
     bundles.append(PathBundle(grid=bundles[0].grid, values=jump, kind="solution"))
-    zeros = PathBundle(grid=bundles[0].grid, values=np.zeros_like(jump), kind="solution")
-    return ([FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
-            + [FbmEstimatorCache(zeros, drift_model("model2"), hurst, 1.0)])
+    bundles.append(PathBundle(grid=bundles[0].grid, values=np.zeros_like(jump), kind="solution"))
+    return [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
 
 
 @pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40), (5, 39)])
@@ -741,7 +762,16 @@ def test_stacked_solve_matches_each_cache(points):
             r, iterations, residual = fixed_point(exact_phi(jump, m, jump.stats(m)), limit,
                                                   1e-12)
             assert (row["r_n"], row["iterations"], row["residual"]) == (r, iterations, residual)
-    assert np.isnan(rows["estimate"][4]).all() and not rows["omega"][4].any()
+    assert chunk_caches()[4]._beta == -1.0 and not np.isnan(rows["estimate"][4]).any()
+    # A model2 cache of zero paths, with D_N = 0 throughout, stacked before a plain
+    # one: NaN rows, and the plain cache's bits alone.
+    zeros = PathBundle(grid=jump.paths.grid, values=np.zeros((40, 21)), kind="solution")
+    pair = [FbmEstimatorCache(b, drift_model("model2"), jump.hurst, 1.0)
+            for b in (zeros, solution_bundle(h=0.7, theta0=0.2, n=40, seed=5))]
+    rows = FbmEstimatorCache.solve(pair, points, **settings)
+    assert np.isnan(rows["estimate"][0]).all() and not rows["omega"][0].any()
+    for t, cache in enumerate(pair):
+        assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
 
 
 @pytest.mark.parametrize("points", [range(1, 41), (5, 39)])
@@ -760,8 +790,8 @@ def exact_sum_caches():
     every way: two plain ones, one whose last path jumps to 2000 (I of the
     full bundle is about 32), one whose last path jumps to -2e5 (the full
     bundle's factors e^{+-sC} overflow: the direct sum), and 40 copies of a
-    path that jumps to 2e4 (one row, I about 4250: its factors overflow on
-    every prefix, while the direct sum stays finite)."""
+    path that jumps to 2e4 (I about 4250: its factors overflow on every
+    prefix, while the direct sum stays finite)."""
     drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(2)]
@@ -779,8 +809,8 @@ def exact_sum_caches():
 def factorized_oracle(cache, n, stats, r):
     """Phi_N as one 2-D exp, gemm and vdot over the first n paths."""
     s = r + stats.i_n
-    bp, c = cache._bp[:n], cache._c[:n]
-    total = np.vdot(bp * np.exp(s * c[:, 1:]), np.exp(-s * c[:, :-1]) @ cache._tri.T)
+    bp, c, tri = cache._bp[:n], cache._c[:n], _kernels(cache.hurst, cache.paths.grid)[1]
+    total = np.vdot(bp * np.exp(s * c[:, 1:]), np.exp(-s * c[:, :-1]) @ tri.T)
     return cache._scale(n, stats.d_n) * float(total)
 
 
@@ -801,12 +831,12 @@ def test_stacked_exact_sum_matches_each_cache(points):
     stats, _ = FbmEstimatorCache._pair_stats(caches, ns)
     phi = FbmEstimatorCache._phi_pairs(caches, ns, stats)
     overflow, copies = caches[3], caches[4]
-    assert [cache._one_row for cache in caches] == [False] * 4 + [True]
+    assert [cache._beta for cache in caches] == [None] * 5
     for cache in (overflow, copies):
         assert 0.5 * abs(cache.stats().i_n) * cache._c_reach[-1] > _MAX_FACTOR_EXPONENT
     # Every pair, at two iterates: the stacked sum is `exact_phi`'s, and the
-    # 2-D one bit for bit where no factor would overflow; on the copies, n
-    # times one row's direct sum, as the loop-written oracle sums.
+    # 2-D one bit for bit where no factor would overflow; on the copies, the
+    # direct sum of n rows, as the loop-written oracle sums.
     k = np.arange(len(caches) * len(ns))
     t_nodes, t_total = copies.paths.grid.nodes, copies.t_total
     for r in (0.0, 0.3):
@@ -824,24 +854,46 @@ def test_stacked_exact_sum_matches_each_cache(points):
 
 
 def test_mixed_chunk_gives_each_cache_its_bits_alone():
-    # A model1 cache of copies of one path keeps one row, beside model1 caches
-    # that keep every row and a model2 cache, which keeps one.
+    # Two model1 caches sum the lags beside model1 caches that keep every row:
+    # a bundle stuck at x = 0, where b' = -1 on every node, and one whose nodes
+    # are each 1 or -1, where b' = -1/2. Copies of one path keep all their rows.
     drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(2)]
-    copies = PathBundle(grid=bundles[0].grid, kind="solution",
+    grid = bundles[0].grid
+    copies = PathBundle(grid=grid, kind="solution",
                         values=np.repeat(bundles[1].values[:1], 40, axis=0))
-    model2 = solution_bundle(model="model2", h=0.7, theta0=0.2, n=40, seed=5)
+    stuck = PathBundle(grid=grid, kind="solution", values=np.zeros_like(copies.values))
+    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=copies.values.shape)
     caches = [FbmEstimatorCache(bundles[0], drift, hurst, 1.0),
+              FbmEstimatorCache(stuck, drift, hurst, 1.0),
               FbmEstimatorCache(copies, drift, hurst, 1.0),
               FbmEstimatorCache(bundles[1], drift, hurst, 1.0),
-              FbmEstimatorCache(model2, drift_model("model2"), hurst, 1.0)]
-    assert [cache._one_row for cache in caches] == [False, True, False, True]
+              FbmEstimatorCache(PathBundle(grid=grid, kind="solution", values=signs), drift,
+                                hurst, 1.0)]
+    assert [cache._beta for cache in caches] == [None, -1.0, None, None, -0.5]
     settings = dict(c=0.5, d_threshold=2.0, alpha=0.1, tol=1e-12)
     for points in (range(1, 41), (3, 17, 40)):
         rows = FbmEstimatorCache.solve(caches, points, **settings)
+        assert not np.isnan(rows["estimate"]).any()
         for t, cache in enumerate(caches):
             assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
+
+
+def test_solve_refuses_caches_of_different_drifts():
+    # The first cache's sup|b'| sets Omega_N of every pair. Stacked after a model1
+    # cache (sup|b'| = 1), this custom:-3,1 cache (3), which Omega_N does not hold
+    # on alone, would read omega True.
+    bundle = solution_bundle(model="custom:-3,1", h=0.7, horizon=2.5, x0=0.5, n=5)
+    hurst = HurstParams(h=0.7)
+    steep = FbmEstimatorCache(bundle, drift_model("custom:-3,1"), hurst, 1.0)
+    assert not steep.estimates()["omega"][0]
+    with pytest.raises(ValueError, match="must share n_paths, grid, H, sigma and drift"):
+        FbmEstimatorCache.solve([FbmEstimatorCache(bundle, drift_model("model1"), hurst, 1.0),
+                                 steep])
+    # Equal drifts built apart (new lambdas each) stack, with the bits of each alone.
+    again = FbmEstimatorCache(bundle, drift_model("custom:-3,1"), hurst, 1.0)
+    assert FbmEstimatorCache.solve([steep, again]).tobytes() == steep.estimates().tobytes() * 2
 
 
 def test_stacked_bm_solve_matches_each_cache():

@@ -25,7 +25,7 @@ from fpdrift import (
     threshold_sweep,
 )
 from fpdrift import estimators, montecarlo
-from fpdrift.errors import ConfigError, DivergenceError
+from fpdrift.errors import ConfigError, DegenerateStatisticsError, DivergenceError
 from tests.conftest import model2_config
 
 
@@ -92,33 +92,35 @@ def test_largest_eval_point_below_n_max_matches_the_truncated_bundle():
 def test_trial_solve_skips_the_residual_sweep(monkeypatch):
     # Every Phi_N value of these chunks is an exact sum: one call per Picard step
     # of the chunk, and none more for the residual |Phi_N(R_N) - R_N| that no
-    # output reads. (settings, trials): one trial's full bundle; model2 over
-    # every prefix, where every cache keeps one row; model1's full bundles,
-    # where every cache keeps all its rows.
-    real, calls = estimators._phi_factorized, []
+    # output reads. (settings, trials, the sum called): one trial's full bundle
+    # and model2 over every prefix, where every cache sums the lags; model1's full
+    # bundles, where every cache keeps all its rows.
+    calls = []
 
-    def phi_factorized(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(estimators, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-    for settings, trials in ((dict(eval_points=(5,)), 1), (dict(), 4),
-                             (dict(model="model1", hurst=0.7, horizon=0.1, sigma=0.25,
-                                   eval_points=(10,)), 4)):
+    for settings, trials, name in (
+            (dict(eval_points=(5,)), 1, "_phi_lags"), (dict(), 4, "_phi_lags"),
+            (dict(model="model1", hurst=0.7, horizon=0.1, sigma=0.25, eval_points=(10,)), 4,
+             "_phi_factorized")):
         cfg = model2_config(n_max=10, replications=trials, **settings)
         bundles = [montecarlo.simulate_bundle(cfg, montecarlo.trial_rng(cfg, i), 10)
                    for i in range(trials)]
         want = np.stack([FbmEstimatorCache(
             replace(paths, values=paths.values[:cfg.points[-1]]), cfg.drift(),
             cfg.hurst_params(), cfg.sigma).estimates(cfg.points) for paths in bundles])
-        monkeypatch.setattr(estimators, "_phi_factorized", phi_factorized)
+        for sum_name in ("_phi_lags", "_phi_factorized", "_phi_rows"):
+            monkeypatch.setattr(estimators, sum_name, counted(sum_name))
         calls.clear()
         rows = montecarlo._run_chunk(cfg, range(trials))
         monkeypatch.undo()
-        for name in ("r_n", "iterations"):
-            assert rows[name].tobytes() == want[name].tobytes()
+        for field in ("r_n", "iterations"):
+            assert rows[field].tobytes() == want[field].tobytes()
         assert np.isnan(rows["residual"]).all()
         steps = int(want["iterations"].max())
-        assert steps > 1 and len(calls) == steps
+        assert steps > 1 and calls == [name] * steps
 
 
 @pytest.fixture
@@ -364,7 +366,7 @@ def test_sweep_d_gate_is_the_truncated_estimate_of_solve(mode):
                            sigma=1.0, n_max=20, replications=10, seed=0, mode=mode)
     field = "theta_cd" if mode == "fbm" else "estimate_d"
     final = run_trials(replace(cfg, eval_points=(20,)))[:, 0]
-    # A failed row would be NaN in theta_cd but 0 in the sweep: these have none.
+    # A failed row would make the sweep raise: these have none.
     assert np.isfinite(final["estimate"]).all()
     assert (~final["omega"]).sum() == (1 if mode == "fbm" else 0)
     d_n = np.sort(final["d_n"])
@@ -375,6 +377,18 @@ def test_sweep_d_gate_is_the_truncated_estimate_of_solve(mode):
         rows = [run_trial(replace(cfg, eval_points=(20,), d_threshold=d), i)[0]
                 for i in range(cfg.replications)]
         assert err == np.abs(np.array([row[field] for row in rows]) - cfg.theta0).mean()
+
+
+@pytest.mark.parametrize("mode", ["fbm", "bm"])
+def test_sweep_truncates_a_vanished_d_n_above_threshold_0(mode):
+    # b = 0: D_N = 0 in every trial, where no estimate is defined. The truncated
+    # estimate 1{D_N >= d} theta is 0 at every threshold d > 0, and undefined at 0.
+    cfg = ExperimentConfig(model="custom:0", hurst=0.7 if mode == "fbm" else 0.5, mode=mode,
+                           horizon=1.0, sigma=1.0, n_max=5, replications=4, seed=0)
+    assert threshold_sweep(cfg, [0.5, 2.0], n_fixed=5) == [(0.5, 1.0), (2.0, 1.0)]
+    with pytest.raises(DegenerateStatisticsError,
+                       match=r"at N = 3 is undefined in 4 of 4 trials \(D_N <= 0 in 4, "):
+        threshold_sweep(cfg, [0.5, 0.0], n_fixed=3)
 
 
 def test_threshold_sweep_validation():
