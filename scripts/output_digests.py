@@ -105,6 +105,13 @@ CASES: dict[str, list[str]] = {
     # a trial with no final estimate (exit 3).
     "custom-nan-rows": ["experiment", *_sets(*_CUSTOM, "x0=1")],
     "custom-undefined-final": ["experiment", *_sets(*_CUSTOM, "x0=0")],
+    # A threshold above that trial's D_N (0.094) truncates its estimate to 0: exit 0.
+    "custom-undefined-final-d-threshold": ["experiment", *_sets(*_CUSTOM, "x0=0",
+                                                                "d_threshold=0.1")],
+    # Thresholds amid the D_N values: the estimate is 0 where D_N falls below them,
+    # in 3 of the 5 final rows of d-threshold-fbm and 2 of the 5 of d-threshold-bm.
+    "d-threshold-fbm": ["experiment", *_sets(*_FBM, *_SMALL, "d_threshold=13.8")],
+    "d-threshold-bm": ["coverage", *_sets(*_BM, *_SMALL, "d_threshold=14")],
     # The sweep refuses the trial whose iterate diverges at x0 = 0 (exit 3).
     "sweep-custom-undefined": ["sweep", *_sets(*_CUSTOM, "x0=0"), "--grid", "0:0.5:3"],
     # A linear drift of positive slope, b' = 0.5: Phi_N's lag terms e^{s beta t_k} grow.

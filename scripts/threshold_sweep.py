@@ -32,7 +32,7 @@ def main() -> None:
             f"model={model}", "H=0.9", f"n_max={args.n_fixed}",
             "replications=100", f"seed={args.seed}",
         ]).experiment
-        curve = threshold_sweep(cfg, thresholds, args.n_fixed, workers=args.workers)
+        curve, _ = threshold_sweep(cfg, thresholds, args.n_fixed, workers=args.workers)
         print(f"# {model}, H = 0.9, N = {args.n_fixed}")
         print("threshold,mean_error")
         for d, err in curve:

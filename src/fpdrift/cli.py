@@ -174,9 +174,7 @@ def cmd_estimate(cfg: RunConfig, input_path: Optional[str]) -> int:
     print(text)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "estimate.json")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_lines(out_path, [text])
     _log(cfg, f"wrote {out_path}")
     return EXIT_OK
 
@@ -241,14 +239,8 @@ def _trajectory_payload(trials: np.ndarray, points: Sequence[int]) -> dict:
 
 def _write_report(cfg: RunConfig, name: str, lines: list[str], payload: dict) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if cfg.format == "csv":
-        path = os.path.join(cfg.out_dir, f"{name}.csv")
-        _write_lines(path, lines)
-    else:
-        path = os.path.join(cfg.out_dir, f"{name}.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_text(payload))
-            fh.write("\n")
+    path = os.path.join(cfg.out_dir, f"{name}.{cfg.format}")
+    _write_lines(path, lines if cfg.format == "csv" else [_json_text(payload)])
     _log(cfg, f"wrote {path}")
 
 
@@ -275,8 +267,12 @@ def cmd_sweep(cfg: RunConfig, workers: int, grid_spec: str, n_fixed: Optional[in
     if not 1 <= n_fixed <= e.n_max:
         raise ConfigError(f"--n-fixed: must lie in 1..n_max={e.n_max}, got {n_fixed}")
     start = time.perf_counter()
-    curve = threshold_sweep(e, thresholds, n_fixed, workers=workers)
+    curve, omega_failed = threshold_sweep(e, thresholds, n_fixed, workers=workers)
     _log(cfg, f"sweep finished in {time.perf_counter() - start:.2f}s")
+    if omega_failed:
+        print(f"warning: Omega_N did not hold at N = {n_fixed} in {omega_failed} of "
+              f"{e.replications} trials; their truncated estimates are 0 at every threshold",
+              file=sys.stderr)
     lines = ["threshold,mean_error"]
     for d, err in curve:
         lines.append(f"{_fmt(d)},{_fmt(err)}")

@@ -3,9 +3,9 @@ iteration, contraction certificate, truncations, thresholds and confidence
 intervals.
 
 `FbmEstimatorCache` (H > 1/2) and `BmEstimatorCache` (H = 1/2) are the one
-implementation of D_N, I_N, Phi_N, Ybar_N and the interval half-width:
-`FbmEstimatorCache(paths, drift, hurst, sigma=1.0).estimate(n)` estimates from
-the first n paths of a solution bundle (default: all of them).
+implementation of D_N, I_N, Phi_N, Ybar_N and the interval half-width, and
+`truncate` of the estimate both `solve`s report. `FbmEstimatorCache(paths, drift,
+hurst, sigma=1.0).estimate(n)` estimates from the first n paths of a bundle.
 
 All integrals are replaced by left-point Riemann sums on the bundle's grid.
 The singular kernel |t - s|^(2H-2) is only evaluated at distinct nodes since
@@ -116,8 +116,6 @@ class EstimateFBM:
     iterations: int
     residual: float
     omega_holds: bool
-    theta_tilde_c: float
-    theta_tilde_cd: float
     d_n: float
     i_n: float
     aci: tuple[float, float, float]  # (lower, upper, alpha)
@@ -131,18 +129,17 @@ class EstimateBM:
     theta_hat: float
     theta_hat_d: float
     ybar: float
-    aci: Optional[tuple[float, float, float]] = None
+    aci: Optional[tuple[float, float, float]]
 
 
-# Rows of `FbmEstimatorCache.estimates`: the EstimateFBM fields in order, aci split.
-# Where D_N <= 0 (iterations 0) or an iterate diverged: NaN floats but d_n, omega False.
+# Rows of `FbmEstimatorCache.estimates`: the EstimateFBM fields in order, aci split;
+# the estimate `truncate`s theta~. Where it is NaN: NaN floats but d_n, omega False.
 FBM_ROW = np.dtype([("estimate", float), ("r_n", float), ("iterations", np.int64),
-                    ("residual", float), ("omega", bool), ("theta_c", float),
-                    ("theta_cd", float), ("d_n", float), ("i_n", float),
+                    ("residual", float), ("omega", bool), ("d_n", float), ("i_n", float),
                     ("aci_lower", float), ("aci_upper", float), ("ybar", float)])
-# Rows of `BmEstimatorCache.estimates`, likewise; omega False where `estimate` raises.
-BM_ROW = np.dtype([("d_n", float), ("v_n", float), ("estimate", float), ("estimate_d", float),
-                   ("ybar", float), ("aci_lower", float), ("aci_upper", float), ("omega", bool)])
+# Rows of `BmEstimatorCache.estimates`, likewise from V/D; omega True (H = 1/2 needs none).
+BM_ROW = np.dtype([("d_n", float), ("v_n", float), ("estimate", float), ("ybar", float),
+                   ("aci_lower", float), ("aci_upper", float), ("omega", bool)])
 
 
 def _prefix_sums(per_path: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -161,17 +158,25 @@ def _check_per_path(per_path: np.ndarray, what: str) -> None:
                               "overflows on this bundle")
 
 
-def _rows(dtype: np.dtype, defined: np.ndarray, **fields) -> np.ndarray:
-    """Structured rows of the given fields, floats but d_n NaN where not defined, so
-    that D_N names a failure's cause. A finite estimate must have a finite interval."""
+def truncate(theta: np.ndarray, d_n: np.ndarray, d_threshold, omega=True) -> np.ndarray:
+    """The paper's truncated estimate: theta (NaN where undefined), 0 where omega is
+    False, then 0 where D_N < d_threshold (an array of them broadcasts)."""
+    return np.where(d_n < d_threshold, 0.0, np.where(omega | np.isnan(theta), theta, 0.0))
+
+
+def _rows(dtype: np.dtype, **fields) -> np.ndarray:
+    """Structured rows of the fields, floats but d_n NaN where the estimate is, so that D_N
+    names a failure's cause; the interval is NaN where D_N <= 0, else finite if the estimate is."""
+    estimate, positive = fields["estimate"], fields["d_n"] > 0.0
     width = fields["aci_upper"] - fields["aci_lower"]
-    if not np.isfinite(width[defined & np.isfinite(fields["estimate"])]).all():
+    if not np.isfinite(width[positive & np.isfinite(estimate)]).all():
         raise DivergenceError("the confidence interval leaves the float range: "
                               "sigma^2 Ybar_N / D_N^2 overflows on this bundle")
-    rows = np.empty(defined.shape, dtype=dtype)
+    rows = np.empty(estimate.shape, dtype=dtype)
     for name, value in fields.items():
         rows[name] = value
-    rows[[name for name in fields if dtype[name] == float and name != "d_n"]][~defined] = np.nan
+    floats = [name for name in fields if dtype[name] == float and name != "d_n"]
+    rows[floats][np.isnan(estimate)] = rows[["aci_lower", "aci_upper"]][~positive] = np.nan
     return rows
 
 
@@ -281,10 +286,8 @@ def fixed_point(
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     r = 0.0
-    iterations = 0
-    for _ in range(max_iters):
+    for iterations in range(1, max_iters + 1):
         r_next = phi(r)
-        iterations += 1
         if not math.isfinite(r_next):
             raise DivergenceError(f"non-finite iterate after {iterations} steps")
         step = abs(r_next - r)
@@ -510,9 +513,9 @@ class FbmEstimatorCache:
               c: float = DEFAULT_CONTRACTION, d_threshold: float = 0.0, alpha: float = 0.05,
               enforce_omega: bool = False, max_iters: Optional[int] = None,
               tol: float = DEFAULT_TOL, residual: bool = True) -> np.ndarray:
-        """`FBM_ROW`s, shape (len(caches), len(points)): [t, j] is the estimate on
-        the first points[j] paths of caches[t] (default: all), the same bits as
-        alone, with its interval of half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N).
+        """`FBM_ROW`s, shape (len(caches), len(points)): [t, j] is the `truncate`d
+        estimate on the first points[j] paths of caches[t] (default: all), the same
+        bits as alone, +- the half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N).
         Picard runs from 0 on all pairs at once; each stops after a step of at
         most tol, or after max_iters steps (default: the `iteration_schedule` of N).
         The residual |Phi_N(R_N) - R_N| costs one more Phi_N sweep; with
@@ -557,15 +560,12 @@ class FbmEstimatorCache:
             if residual:
                 live = np.flatnonzero(ok)
                 residuals[live] = np.abs(phi(live, r[live]) - r[live])
-            theta = stats.i_n + r
-            theta_c = np.where(omega, theta, 0.0)
-            reported = theta_c if enforce_omega else theta
-            return _rows(FBM_ROW, ok, estimate=reported, aci_lower=reported - half,
-                         aci_upper=reported + half, d_n=stats.d_n, i_n=stats.i_n, r_n=r,
+            estimate = truncate(np.where(ok, stats.i_n + r, np.nan), stats.d_n, d_threshold,
+                                omega if enforce_omega else True)
+            return _rows(FBM_ROW, estimate=estimate, aci_lower=estimate - half,
+                         aci_upper=estimate + half, d_n=stats.d_n, i_n=stats.i_n, r_n=r,
                          residual=residuals, omega=omega & ok, iterations=iterations,
-                         theta_c=theta_c, ybar=ybar,
-                         theta_cd=np.where(stats.d_n >= d_threshold, theta_c, 0.0),
-                         ).reshape(len(caches), len(ns))
+                         ybar=ybar).reshape(len(caches), len(ns))
 
     def estimates(self, points: Optional[Sequence[int]] = None, **settings) -> np.ndarray:
         """The `solve` rows of this cache alone: one `FBM_ROW` per n in points."""
@@ -574,11 +574,11 @@ class FbmEstimatorCache:
     def estimate(self, n: Optional[int] = None, *, alpha: float = 0.05,
                  **settings) -> EstimateFBM:
         """The `estimates` row of the first n paths (default: all of them);
-        settings as for `estimates`. Raises where that row is NaN."""
+        settings as for `estimates`. Raises where its estimate is NaN."""
         *fields, lower, upper, ybar = self.estimates(
             None if n is None else (n,), alpha=alpha, **settings)[0].tolist()
-        _, r_n, iterations = fields[:3]
-        if math.isnan(r_n):
+        theta, _, iterations = fields[:3]
+        if math.isnan(theta):
             if iterations == 0:
                 raise DegenerateStatisticsError("D_N vanished on this prefix")
             raise DivergenceError(f"non-finite iterate after {iterations} steps")
@@ -606,9 +606,9 @@ class BmEstimatorCache:
     @staticmethod
     def solve(caches: Sequence["BmEstimatorCache"], points: Optional[Sequence[int]] = None, *,
               d_threshold: float = 0.0, alpha: float = 0.05) -> np.ndarray:
-        """`BM_ROW`s, shape (len(caches), len(points)): [t, j] is the least-squares
-        estimate on the first points[j] paths of caches[t] (default: all), the
-        same bits as alone; NaN where D_{N,n} <= 0."""
+        """`BM_ROW`s, shape (len(caches), len(points)): [t, j] is the `truncate`d
+        least-squares estimate V/D on the first points[j] paths of caches[t]
+        (default: all), the same bits as alone."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if len({(x.n_paths, x.t_total) for x in caches}) != 1:
@@ -620,14 +620,10 @@ class BmEstimatorCache:
         with np.errstate(all="ignore"):
             d_nn, v_nn = d_sum / nt, v_sum / nt
             ybar = y_sum / (ns * np.float64(t_total)**2)  # inf, not OverflowError
-            positive = ~(d_nn <= 0.0)
-            theta = np.where(positive, v_nn / d_nn, np.nan)
+            estimate = truncate(np.where(d_nn > 0.0, v_nn / d_nn, np.nan), d_nn, d_threshold)
             half = np.sqrt(ybar) * normal_quantile(1.0 - alpha / 2.0) / (np.sqrt(ns) * d_nn)
-            defined = positive | (d_threshold > 0.0)
-            return _rows(BM_ROW, defined, estimate=theta, aci_lower=theta - half,
-                         aci_upper=theta + half, d_n=d_nn, v_n=v_nn,
-                         estimate_d=np.where(d_nn >= d_threshold, theta, 0.0), ybar=ybar,
-                         omega=defined)
+            return _rows(BM_ROW, estimate=estimate, aci_lower=estimate - half,
+                         aci_upper=estimate + half, d_n=d_nn, v_n=v_nn, ybar=ybar, omega=True)
 
     def estimates(self, points: Optional[Sequence[int]] = None, **settings) -> np.ndarray:
         """The `solve` rows of this cache alone: one `BM_ROW` per n in points."""
@@ -635,9 +631,13 @@ class BmEstimatorCache:
 
     def estimate(self, n: Optional[int] = None, *, d_threshold: float = 0.0,
                  alpha: float = 0.05) -> EstimateBM:
-        """The `estimates` row of the first n paths (default: all of them)."""
-        *fields, lower, upper, defined = self.estimates(
-            None if n is None else (n,), d_threshold=d_threshold, alpha=alpha)[0].tolist()
-        if not defined:
+        """The `estimates` row of the first n paths (default: all of them) as theta_hat_d,
+        raising where it is NaN; theta_hat = V/D and aci as at threshold 0."""
+        rows = [self.estimates(None if n is None else (n,), d_threshold=d, alpha=alpha)[0]
+                for d in dict.fromkeys((d_threshold, 0.0))]  # one solve at threshold 0
+        (d_nn, v_nn, theta_d, ybar, *_), (_, _, theta, _, lower, upper, _) = (
+            rows[0].tolist(), rows[-1].tolist())
+        if math.isnan(theta_d):
             raise DegenerateStatisticsError("D_{N,n} vanished; estimator undefined")
-        return EstimateBM(*fields, aci=None if fields[0] <= 0.0 else (lower, upper, alpha))
+        return EstimateBM(d_nn, v_nn, theta, theta_d, ybar,
+                          None if d_nn <= 0.0 else (lower, upper, alpha))

@@ -32,7 +32,7 @@ from .errors import ConfigError, DegenerateStatisticsError, DivergenceError
 from .fbm import Grid, HurstParams, PathBundle, block_correlation, sample_fbm_bundles
 from .sde import DriftModel, SdeSpec, drift_model, euler_additive
 from .estimators import (DEFAULT_TOL, BmEstimatorCache, EstimateBM, EstimateFBM,
-                         FbmEstimatorCache)
+                         FbmEstimatorCache, truncate)
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,7 @@ class ExperimentConfig:
 
 
 # What a run keeps of each (trial, N) solve row: the fields that FBM_ROW and BM_ROW
-# share, packed. A failed row (degenerate statistics or divergent iteration) is NaN
-# but its d_n. In bm mode omega is True where the bm `estimate` would not raise:
-# D_{N,n} > 0, or d_threshold > 0, which makes it True on NaN rows too.
+# share, packed. A row whose estimate is undefined is NaN but its d_n.
 RESULT_ROW = np.dtype([("estimate", float), ("aci_lower", float), ("aci_upper", float),
                        ("omega", bool), ("d_n", float)])
 
@@ -454,20 +452,22 @@ def threshold_sweep(
     thresholds: Sequence[float],
     n_fixed: int,
     workers: int = 1,
-) -> list[tuple[float, float]]:
-    """(threshold, mean error) of the Omega- and D-threshold-truncated estimator at
-    n_fixed paths for each threshold, from one set of trials; raises where undefined."""
+) -> tuple[list[tuple[float, float]], int]:
+    """(threshold, mean error) pairs of the `truncate`d estimator (Omega_N enforced) at
+    n_fixed paths, and the trials off Omega_N; raises where a mean is NaN or infinite."""
     if len(thresholds) == 0:
         raise ValueError("thresholds must be nonempty")
     if not 1 <= n_fixed <= config.n_max:
         raise ValueError("n_fixed must lie in 1..n_max")
-    base = replace(config, eval_points=(n_fixed,), d_threshold=0.0, enforce_omega=True)
-    rows = run_trials(base, workers)[:, 0]
-    # The estimate is solve's theta_C (0 off Omega_N), NaN where the trial failed.
-    d_n, theta_c = rows["d_n"], rows["estimate"]
-    gated = np.where(d_n >= np.asarray(thresholds, dtype=float)[:, None], theta_c, 0.0)
-    _refuse_undefined(n_fixed, d_n, np.isnan(gated).any(axis=0))
-    return [(float(d), float(np.abs(g - config.theta0).mean())) for d, g in zip(thresholds, gated)]
+    rows = run_trials(replace(config, eval_points=(n_fixed,), d_threshold=0.0,
+                              enforce_omega=True), workers)[:, 0]
+    gated = truncate(rows["estimate"], rows["d_n"], np.asarray(thresholds, dtype=float)[:, None])
+    _refuse_undefined(n_fixed, rows["d_n"], np.isnan(gated).any(axis=0))
+    with np.errstate(over="ignore"):
+        means = [float(np.abs(g - config.theta0).mean()) for g in gated]
+    if not np.isfinite(means).all():
+        raise DivergenceError(f"a mean error leaves the float range (theta0 = {config.theta0})")
+    return list(zip(map(float, thresholds), means)), int((~rows["omega"]).sum())
 
 
 def coverage_experiment(config: ExperimentConfig, workers: int = 1) -> SummaryReport:

@@ -242,7 +242,7 @@ def test_criterion_8_threshold_behavior():
         grid = [start + step * k for k in range(count)]
         cfg = ExperimentConfig(model=model, hurst=0.9, horizon=horizon,
                                sigma=sigma, n_max=15, replications=100, seed=2)
-        curve = threshold_sweep(cfg, [0.0, dmax] + grid, 15, workers=WORKERS)
+        curve, _ = threshold_sweep(cfg, [0.0, dmax] + grid, 15, workers=WORKERS)
         err0 = curve[0][1]
         err_dmax = curve[1][1]
         err_top = curve[-1][1]

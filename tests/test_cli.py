@@ -464,12 +464,14 @@ EDGES = {
     "fresh_paths_per_n": ("true", "false"),
 }
 MODELS = ("model1", "model2", "custom:-1,0,1,0", "custom:0.5,1")
+# Small sweep grids, from 0 and across the float range.
+SWEEP_GRIDS = ("0:0.5:3", "0:5e-324:2", "-1e308:1e308:3")
 
 
 @st.composite
 def edge_runs(draw):
-    """A command and its --set values: a valid small run, with one to three keys
-    moved to an edge of their range."""
+    """A command (sweep with its --grid) and its --set values: a valid small run,
+    with one to three keys moved to an edge of their range."""
     model = draw(st.sampled_from(MODELS))
     sets = {"model": model, "H": draw(st.sampled_from(("0.5", "0.7", "0.9"))),
             "steps": draw(st.sampled_from(("2", "20"))),
@@ -480,15 +482,18 @@ def edge_runs(draw):
     for key in draw(st.lists(st.sampled_from(sorted(EDGES)), min_size=1, max_size=3,
                              unique=True)):
         sets[key] = draw(st.sampled_from(EDGES[key]))
-    return draw(st.sampled_from(("experiment", "coverage"))), sets
+    command = draw(st.sampled_from(("experiment", "coverage", "sweep")))
+    if command == "sweep":
+        return [command, f"--grid={draw(st.sampled_from(SWEEP_GRIDS))}"], sets
+    return [command], sets
 
 
-@settings(max_examples=60, derandomize=True, deadline=None,
+@settings(max_examples=90, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=edge_runs())
 def test_edge_values_end_in_a_documented_exit_code(run):
     command, sets = run
-    argv = [command, "--seed", "3", "--workers", "1"]
+    argv = [*command, "--seed", "3", "--workers", "1"]
     for key, value in sets.items():
         argv += ["--set", f"{key}={value}"]
     stderr = io.StringIO()
@@ -496,16 +501,20 @@ def test_edge_values_end_in_a_documented_exit_code(run):
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main([*argv, "--out", out])  # raising is printing a traceback
-        summary = Path(out, "summary.csv")
-        cells = list(csv.reader(summary.read_text().splitlines()))[1] if summary.exists() else []
+        written = Path(out, "sweep.csv" if command[0] == "sweep" else "summary.csv")
+        rows = list(csv.reader(written.read_text().splitlines()))[1:] if written.exists() else []
     # A warning the program does not catch is one more stderr line, in its own format.
     lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
     assert code in (0, 2, 3, 4), (argv, code, lines)
     assert lines == [] or (len(lines) == 1 and lines[0].startswith(("warning: ", "error: "))), \
         (argv, code, lines)
-    if code == 0:  # a model cell, quoted where it holds commas, then seven numbers
-        assert len(cells) == 8 and not any(math.isnan(float(c)) for c in cells[1:]), \
-            (argv, cells)
+    if code == 0 and command[0] == "sweep":  # (threshold, mean_error) rows
+        assert len(rows) == int(command[1].split(":")[2]) and all(
+            len(row) == 2 and not any(map(math.isnan, map(float, row))) for row in rows), \
+            (argv, rows)
+    elif code == 0:  # a model cell, quoted where it holds commas, then seven numbers
+        assert len(rows) == 1 and len(rows[0]) == 8 and not any(
+            math.isnan(float(c)) for c in rows[0][1:]), (argv, rows)
 
 
 # sha256 of the files these runs write; the warning goes to stderr only. Pinned
@@ -652,6 +661,114 @@ def test_a_divergent_trial_is_refused_as_one(tmp_path, capsys, command, x0, reps
         f"error: the estimate at N = 20 is undefined in 1 of {reps} trials (D_N <= 0 in 0, "
         "a non-finite statistic or iterate in 1); the summary would be NaN\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_refuses_an_infinite_mean_error(tmp_path, capsys):
+    # b = 0: D_N = 0, so every threshold above 0 truncates each estimate to 0, and
+    # the mean of the errors |0 - 1e308| overflows.
+    args = ["--set", "model=custom:0", "--set", "H=0.7", "--set", "T=1", "--set", "sigma=1",
+            "--set", "n_max=4", "--set", "replications=5", "--set", "theta0=1e308",
+            "--seed", "3", "--workers", "1", "--out", str(tmp_path / "out")]
+    assert run_cli("sweep", *args, "--grid", "1:1:2") == 3
+    assert capsys.readouterr().err == (
+        "error: a mean error leaves the float range (theta0 = 1e+308)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_warns_where_omega_fails(tmp_path, capsys):
+    # On T = 5 Omega_N fails at N = 20 in every trial: the sweep's estimator,
+    # Omega_N enforced, is 0 there at every threshold.
+    args = ["--set", "model=model2", "--set", "H=0.7", "--set", "T=5", "--set", "n_max=20",
+            "--set", "replications=10", "--seed", "0", "--workers", "1"]
+    assert run_cli("sweep", *args, "--grid", "0:0.5:4", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == (
+        "warning: Omega_N did not hold at N = 20 in 10 of 10 trials; their truncated "
+        "estimates are 0 at every threshold\n")
+    assert (tmp_path / "sweep.csv").read_text() == "threshold,mean_error\n" + "".join(
+        f"{d},1\n" for d in ("0", "0.5", "1", "1.5"))
+
+
+@pytest.mark.parametrize("h", ["0.7", "0.5"])
+def test_d_threshold_above_every_d_n_reports_zero(tmp_path, h):
+    args = ["--set", "model=model2", "--set", f"H={h}", "--set", "n_max=20",
+            "--set", "replications=5", "--seed", "3", "--workers", "1"]
+    assert run_cli("experiment", *args, "--set", "d_threshold=50", "--out", str(tmp_path)) == 0
+    rows = list(csv.DictReader((tmp_path / "trajectories.csv").read_text().splitlines()))
+    assert len(rows) == 100 and all(row["estimate"] == "0" for row in rows)
+    assert all(float(row["aci_upper"]) == -float(row["aci_lower"]) > 0.0 for row in rows)
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")[4:6] == ["1", "0"]
+
+
+@pytest.mark.parametrize("command", ["experiment", "coverage"])
+def test_truncated_rows_where_d_n_vanishes_do_not_cover(tmp_path, command):
+    # b = 0: D_N = 0 in every trial. At d_threshold 0 no estimate is defined (exit
+    # 3); above 0 each is 0, with a NaN interval that does not cover theta0.
+    args = ["--set", "model=custom:0", "--set", "H=0.7", "--set", "T=1", "--set", "sigma=1",
+            "--set", "n_max=4", "--set", "replications=3", "--seed", "3", "--workers", "1"]
+    assert run_cli(command, *args, "--out", str(tmp_path / "zero")) == 3
+    assert run_cli(command, *args, "--set", "d_threshold=1e-300",
+                   "--out", str(tmp_path / "out")) == 0
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert summary[4:7] == ["1", "0", "0"]
+    if command == "experiment":
+        for row in (tmp_path / "out" / "trajectories.csv").read_text().splitlines()[1:]:
+            assert row.split(",")[2:] == ["0", "nan", "nan"]
+
+
+# Every config key but the output ones: (base overrides it needs, its changed
+# values), which must change some byte that `experiment`, `coverage` or `sweep`
+# writes from KEY_BASE. On T = 2.5 Omega_N fails in some trials, so
+# enforce_omega bites, and with it the contraction constant. Blocks of
+# independent copies (corr_rho 0) are independent copies, so corr_block and
+# corr_rho are each tried with the other set. The mode follows from H (H = 1/2
+# selects bm, and bm needs H = 1/2), so it moves with H.
+KEY_BASE = ("model=model2", "H=0.7", "T=2.5", "steps=10", "n_max=10", "replications=4",
+            "seed=3")
+KEY_CHANGES = {
+    "model": ({}, {"model": "model1"}),
+    "H": ({}, {"H": "0.8"}),
+    "T": ({}, {"T": "2"}),
+    "sigma": ({}, {"sigma": "0.5"}),
+    "x0": ({}, {"x0": "4"}),
+    "theta0": ({}, {"theta0": "0.5"}),
+    "steps": ({}, {"steps": "12"}),
+    "n_max": ({}, {"n_max": "8"}),
+    "replications": ({}, {"replications": "3"}),
+    "seed": ({}, {"seed": "4"}),
+    "contraction": ({"enforce_omega": "true"}, {"contraction": "0.9"}),
+    "d_threshold": ({}, {"d_threshold": "100"}),
+    "alpha": ({}, {"alpha": "0.2"}),
+    "max_iters": ({}, {"max_iters": "2"}),
+    "tol": ({}, {"tol": "1e-3"}),
+    "enforce_omega": ({}, {"enforce_omega": "true"}),
+    "corr_block": ({"corr_rho": "0.3"}, {"corr_block": "2"}),
+    "corr_rho": ({"corr_block": "2"}, {"corr_rho": "0.3"}),
+    "mode": ({}, {"mode": "bm", "H": "0.5"}),
+    "eval_points": ({}, {"eval_points": "3,7"}),
+    "fresh_paths_per_n": ({}, {"fresh_paths_per_n": "true"}),
+}
+
+
+def _written(sets: tuple[str, ...]) -> dict[str, bytes]:
+    """The files that `experiment`, `coverage` and `sweep` write with these --set values."""
+    with tempfile.TemporaryDirectory() as out:
+        for command in (["experiment"], ["coverage"], ["sweep", "--grid", "0:2:4"]):
+            argv = [*command, "--workers", "1", "--out", f"{out}/{command[0]}"]
+            assert main([*argv, *(arg for item in sets for arg in ("--set", item))]) == 0, sets
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(Path(out).rglob("*")) if p.is_file()}
+
+
+def test_every_config_key_changes_some_output():
+    from fpdrift import config
+
+    assert set(KEY_CHANGES) == config._ALL_KEYS - set(config._OUTPUT_KEYS)
+    unchanged = []
+    for key, (extra, change) in KEY_CHANGES.items():
+        base = (*KEY_BASE, *(f"{k}={v}" for k, v in extra.items()))
+        if _written(base) == _written((*base, *(f"{k}={v}" for k, v in change.items()))):
+            unchanged.append(key)
+    assert unchanged == []
 
 
 @pytest.mark.parametrize("command,extra,finished,files", [

@@ -198,8 +198,10 @@ def test_estimate_fbm_structure():
     cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.9), 1.0)
     est = cache.estimate()
     assert est.theta_tilde == pytest.approx(est.i_n + est.r_n)
-    assert est.theta_tilde_c in (0.0, est.theta_tilde)
-    assert est.theta_tilde_cd in (0.0, est.theta_tilde_c)
+    # Truncated on Omega_N, then kept by a threshold at D_N itself.
+    theta_c = cache.estimate(enforce_omega=True).theta_tilde
+    assert theta_c in (0.0, est.theta_tilde)
+    assert cache.estimate(enforce_omega=True, d_threshold=est.d_n).theta_tilde == theta_c
     assert est.omega_holds  # reference settings satisfy the certificate
     lo, hi, alpha = est.aci
     assert lo < est.theta_tilde < hi
@@ -211,10 +213,12 @@ def test_estimate_fbm_structure():
 
 def test_estimate_fbm_threshold_gating():
     bundle = solution_bundle(n=10, seed=3)
-    est = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.9),
-                            1.0).estimate(d_threshold=1e6)
-    assert est.theta_tilde_cd == 0.0
-    assert est.theta_tilde != 0.0
+    cache = FbmEstimatorCache(bundle, drift_model("model2"), HurstParams(h=0.9), 1.0)
+    est = cache.estimate(d_threshold=1e6)
+    assert est.theta_tilde == 0.0
+    assert cache.estimate().theta_tilde != 0.0
+    # The interval is the truncated estimate 0 +- the half-width.
+    assert est.aci[1] == -est.aci[0] > 0.0
 
 
 def test_constant_drift_gives_identity_estimate():
@@ -259,7 +263,7 @@ def test_omega_never_certified_with_unbounded_b_prime():
     assert check_omega(cache.stats(), hurst, 0.25, drift.sup_norm_b_prime, 0.05, 0.5)
     est = cache.estimate(enforce_omega=True)
     assert not est.omega_holds
-    assert est.theta_tilde == 0.0 and est.theta_tilde_c == 0.0
+    assert est.theta_tilde == 0.0
 
 
 def test_degenerate_dn_raises():
@@ -284,6 +288,10 @@ def test_estimate_bm_aci_and_truncation():
     assert est.d_nn > 0 and est.ybar > 0
     est2 = cache.estimate(d_threshold=1e9)
     assert est2.theta_hat_d == 0.0
+    # theta_hat and its interval stay untruncated; the row reports 0 +- the half-width.
+    assert (est2.theta_hat, est2.aci) == (est.theta_hat, est.aci)
+    row = cache.estimates(d_threshold=1e9)[0]
+    assert (row["estimate"], row["aci_upper"]) == (0.0, -row["aci_lower"])
     with pytest.raises(ValueError):
         cache.estimate(alpha=1.5)
 
@@ -595,30 +603,37 @@ def test_lag_phi_matches_oracle(model):
 # All prefixes in one call: `estimates` against the scalar solve.
 # ---------------------------------------------------------------------------
 
-# (model, H, horizon, sigma, x0, seed, n, settings, prefixes that diverge).
+# (model, H, horizon, sigma, x0, seed, n, settings, prefixes that diverge, prefixes
+# whose estimate is truncated to 0).
 # model2 at T = 5 sends nearly every proper-prefix step to the exact sum;
 # enforce_omega, d_threshold and a fixed max_iters change the reported
 # estimate, the truncations and the step limits.
 SCALAR_SOLVE_CASES = {
-    "model1": ("model1", 0.9, 0.1, 0.25, 5.0, 3, 30, {}, 0),
-    "model2": ("model2", 0.7, 0.75, 1.0, 5.0, 4, 40, {"d_threshold": 2.0}, 0),
-    "model2-T5": ("model2", 0.7, 5.0, 1.0, 5.0, 5, 30, {"enforce_omega": True}, 0),
-    "sign-changing": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30, {}, 4),
+    "model1": ("model1", 0.9, 0.1, 0.25, 5.0, 3, 30, {}, 0, 0),
+    "model2": ("model2", 0.7, 0.75, 1.0, 5.0, 4, 40, {"d_threshold": 2.0}, 0, 0),
+    "model2-T5": ("model2", 0.7, 5.0, 1.0, 5.0, 5, 30, {"enforce_omega": True}, 0, 30),
+    "sign-changing": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30, {}, 4, 0),
     "sign-changing-capped": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30,
-                             {"max_iters": 12}, 2),
-    "linear-custom": ("custom:-2,1", 0.7, 0.75, 1.0, 5.0, 2, 30, {}, 0),
+                             {"max_iters": 12}, 2, 0),
+    "linear-custom": ("custom:-2,1", 0.7, 0.75, 1.0, 5.0, 2, 30, {}, 0, 0),
+    # A threshold amid the D_N values: prefixes below it report 0, also where
+    # their iterate diverged (prefixes 2 and 4 of the sign-changing drift).
+    "model2-truncated": ("model2", 0.7, 0.75, 1.0, 5.0, 4, 40, {"d_threshold": 13.0}, 0, 3),
+    "sign-changing-truncated": ("custom:-1,0,1,0", 0.7, 1.0, 1.0, 0.3, 1, 30,
+                                {"d_threshold": 0.065}, 4, 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCALAR_SOLVE_CASES))
 def test_estimates_match_scalar_solve(case):
-    name, h, horizon, sigma, x0, seed, n, settings, want_diverged = SCALAR_SOLVE_CASES[case]
+    name, h, horizon, sigma, x0, seed, n, settings, want_diverged, want_truncated = \
+        SCALAR_SOLVE_CASES[case]
     bundle = solution_bundle(model=name, h=h, horizon=horizon, sigma=sigma, x0=x0,
                              n=n, seed=seed)
     drift, hurst, c, tol, alpha = drift_model(name), HurstParams(h=h), 0.5, 1e-12, 0.05
     cache = FbmEstimatorCache(bundle, drift, hurst, sigma)
     rows = cache.estimates(range(1, n + 1), c=c, alpha=alpha, tol=tol, **settings)
-    diverged = 0
+    diverged = truncated = 0
     for m, row in zip(range(1, n + 1), rows):
         stats = cache.stats(m)
         limit = settings.get("max_iters") or iteration_schedule(
@@ -627,6 +642,11 @@ def test_estimates_match_scalar_solve(case):
             r, iterations, residual = fixed_point(cache.phi(m, stats), limit, tol)
         except DivergenceError as exc:
             diverged += 1
+            if stats.d_n < settings.get("d_threshold", 0.0):  # 0 all the same
+                truncated += 1
+                assert row["estimate"] == 0.0 and row["aci_upper"] == -row["aci_lower"]
+                assert np.isnan(row["residual"]) and not row["omega"]
+                continue
             assert np.isnan([row[k] for k in ("estimate", "aci_lower", "r_n",
                                               "residual", "ybar")]).all()
             assert row["d_n"] == stats.d_n  # kept: the failure is no vanished D_N
@@ -638,17 +658,17 @@ def test_estimates_match_scalar_solve(case):
         omega = drift.b_prime_bounded and check_omega(stats, hurst, sigma,
                                                       drift.sup_norm_b_prime, horizon, c)
         theta = stats.i_n + r
-        theta_c = theta if omega else 0.0
-        reported = theta_c if settings.get("enforce_omega") else theta
+        theta_c = theta if omega or not settings.get("enforce_omega") else 0.0
+        reported = theta_c if stats.d_n >= settings.get("d_threshold", 0.0) else 0.0
+        truncated += reported != theta
         ybar = cache.ybar(m)
         half = 2.0 * math.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
             math.sqrt(m) * stats.d_n)
         want = dict(estimate=reported, r_n=r, iterations=iterations, residual=residual,
-                    omega=omega, theta_c=theta_c, d_n=stats.d_n, i_n=stats.i_n,
-                    theta_cd=theta_c if stats.d_n >= settings.get("d_threshold", 0.0) else 0.0,
+                    omega=omega, d_n=stats.d_n, i_n=stats.i_n,
                     aci_lower=reported - half, aci_upper=reported + half, ybar=ybar)
         assert dict(zip(rows.dtype.names, row.tolist())) == want  # bitwise, field by field
-    assert diverged == want_diverged
+    assert (diverged, truncated) == (want_diverged, want_truncated)
     # A linear drift's cache sums the lags.
     assert (cache._beta is not None) == (name in ("model2", "custom:-2,1"))
 
@@ -667,10 +687,14 @@ def test_estimates_nan_rows_where_dn_vanishes():
         cache.estimate(1)
     assert cache.estimate(2).theta_tilde == rows["estimate"][1]
     bm = BmEstimatorCache(bundle, drift_model("custom:1,0"), sigma=1.0).estimates([1, 2])
-    assert np.isnan(bm["estimate"][0]) and not bm["omega"][0] and bm["d_n"][0] == 0.0
-    truncated = BmEstimatorCache(bundle, drift_model("custom:1,0"), sigma=1.0).estimates(
-        [1, 2], d_threshold=0.5)
-    assert truncated["omega"][0] and truncated["estimate_d"][0] == 0.0
+    assert np.isnan(bm["estimate"][0]) and bm["omega"][0] and bm["d_n"][0] == 0.0
+    # A threshold above D_1 = 0 truncates row 0 to the estimate 0, with a NaN interval.
+    for truncated in (cache.estimates([1, 2], d_threshold=0.5),
+                      BmEstimatorCache(bundle, drift_model("custom:1,0"), sigma=1.0).estimates(
+                          [1, 2], d_threshold=0.5)):
+        assert truncated["estimate"][0] == 0.0 and truncated["d_n"][0] == 0.0
+        assert np.isnan(truncated[0][["aci_lower", "aci_upper"]].tolist()).all()
+    assert cache.estimate(1, d_threshold=0.5).theta_tilde == 0.0
 
 
 def test_bm_estimates_match_estimate():
@@ -679,7 +703,9 @@ def test_bm_estimates_match_estimate():
     rows = cache.estimates(range(1, 26), d_threshold=3.0, alpha=0.1)
     for m, row in zip(range(1, 26), rows):
         est = cache.estimate(m, d_threshold=3.0, alpha=0.1)
-        assert row.tolist() == (est.d_nn, est.v_nn, est.theta_hat, est.theta_hat_d, est.ybar,
+        # No D_{N,n} falls below 3, so the row's estimate is theta_hat untruncated.
+        assert est.theta_hat_d == est.theta_hat
+        assert row.tolist() == (est.d_nn, est.v_nn, est.theta_hat_d, est.ybar,
                                 *est.aci[:2], True)
         x = bundle.values[:m]
         b = -x[:, :-1]
@@ -768,8 +794,11 @@ def test_stacked_solve_matches_each_cache(points):
     zeros = PathBundle(grid=jump.paths.grid, values=np.zeros((40, 21)), kind="solution")
     pair = [FbmEstimatorCache(b, drift_model("model2"), jump.hurst, 1.0)
             for b in (zeros, solution_bundle(h=0.7, theta0=0.2, n=40, seed=5))]
-    rows = FbmEstimatorCache.solve(pair, points, **settings)
+    rows = FbmEstimatorCache.solve(pair, points, **dict(settings, d_threshold=0.0))
     assert np.isnan(rows["estimate"][0]).all() and not rows["omega"][0].any()
+    # d_threshold = 2 truncates them to the estimate 0, with a NaN interval.
+    rows = FbmEstimatorCache.solve(pair, points, **settings)
+    assert (rows["estimate"][0] == 0.0).all() and np.isnan(rows["aci_upper"][0]).all()
     for t, cache in enumerate(pair):
         assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
 

@@ -342,7 +342,7 @@ def test_summarize_order_invariant(values):
 
 def test_threshold_sweep_endpoints():
     cfg = model2_config(replications=10, n_max=8)
-    curve = threshold_sweep(cfg, [0.0, 1e9], n_fixed=8)
+    curve, omega_failed = threshold_sweep(cfg, [0.0, 1e9], n_fixed=8)
     assert len(curve) == 2
     d0, err0 = curve[0]
     dbig, errbig = curve[1]
@@ -351,6 +351,7 @@ def test_threshold_sweep_endpoints():
                                       eval_points=(8,)), workers=1)
     gated = [t["estimate"][0] if t["omega"][0] else 0.0 for t in trials]
     expect = float(np.mean([abs(g - cfg.theta0) for g in gated]))
+    assert omega_failed == (~trials["omega"]).sum()
     assert err0 == pytest.approx(expect, rel=1e-12)
     # d beyond every observed D_N: estimator collapses to 0, error = |theta0|.
     assert errbig == pytest.approx(abs(cfg.theta0))
@@ -359,24 +360,22 @@ def test_threshold_sweep_endpoints():
 @pytest.mark.parametrize("mode", ["fbm", "bm"])
 def test_sweep_d_gate_is_the_truncated_estimate_of_solve(mode):
     # The sweep's D gate, at 0 and between observed D_N values, against the
-    # truncated estimate of `solve` at each threshold: theta_cd in fbm mode
-    # (theta_C, gated on Omega_N, which fails in 1 of these 10 trials) and
-    # estimate_d in bm mode, bit for bit.
+    # truncated estimate of `solve` at each threshold, with Omega_N enforced (in
+    # fbm mode it fails in 1 of these 10 trials), bit for bit.
     cfg = ExperimentConfig(model="model2", hurst=0.7 if mode == "fbm" else 0.5, horizon=2.5,
                            sigma=1.0, n_max=20, replications=10, seed=0, mode=mode)
-    field = "theta_cd" if mode == "fbm" else "estimate_d"
     final = run_trials(replace(cfg, eval_points=(20,)))[:, 0]
     # A failed row would make the sweep raise: these have none.
     assert np.isfinite(final["estimate"]).all()
     assert (~final["omega"]).sum() == (1 if mode == "fbm" else 0)
     d_n = np.sort(final["d_n"])
     thresholds = [0.0, *((d_n[:-1] + d_n[1:]) / 2)[::3].tolist()]
-    curve = threshold_sweep(cfg, thresholds, n_fixed=20)
-    assert [d for d, _ in curve] == thresholds
+    curve, omega_failed = threshold_sweep(cfg, thresholds, n_fixed=20)
+    assert [d for d, _ in curve] == thresholds and omega_failed == (~final["omega"]).sum()
     for d, err in curve:
-        rows = [run_trial(replace(cfg, eval_points=(20,), d_threshold=d), i)[0]
-                for i in range(cfg.replications)]
-        assert err == np.abs(np.array([row[field] for row in rows]) - cfg.theta0).mean()
+        rows = [run_trial(replace(cfg, eval_points=(20,), d_threshold=d, enforce_omega=True),
+                          i)[0] for i in range(cfg.replications)]
+        assert err == np.abs(np.array([row["estimate"] for row in rows]) - cfg.theta0).mean()
 
 
 @pytest.mark.parametrize("mode", ["fbm", "bm"])
@@ -385,7 +384,9 @@ def test_sweep_truncates_a_vanished_d_n_above_threshold_0(mode):
     # estimate 1{D_N >= d} theta is 0 at every threshold d > 0, and undefined at 0.
     cfg = ExperimentConfig(model="custom:0", hurst=0.7 if mode == "fbm" else 0.5, mode=mode,
                            horizon=1.0, sigma=1.0, n_max=5, replications=4, seed=0)
-    assert threshold_sweep(cfg, [0.5, 2.0], n_fixed=5) == [(0.5, 1.0), (2.0, 1.0)]
+    # Omega_N is not certified where D_N = 0; bm mode needs no certificate.
+    assert threshold_sweep(cfg, [0.5, 2.0], n_fixed=5) == (
+        [(0.5, 1.0), (2.0, 1.0)], 4 if mode == "fbm" else 0)
     with pytest.raises(DegenerateStatisticsError,
                        match=r"at N = 3 is undefined in 4 of 4 trials \(D_N <= 0 in 4, "):
         threshold_sweep(cfg, [0.5, 0.0], n_fixed=3)
