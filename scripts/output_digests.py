@@ -63,7 +63,8 @@ _FRESH = ("fresh_paths_per_n=true", "corr_block=2", "corr_rho=0.3")
 _CUSTOM = ("model=custom:-1,0,1,0", "H=0.7", "T=1", "sigma=1", "n_max=20", "replications=20")
 
 # name -> CLI arguments before --seed, --workers and --out. "estimate-input"
-# reads the first bundle that "simulate" writes.
+# reads the first bundle that "simulate" writes, "estimate-input-bm" the first
+# that "simulate-bm" writes.
 CASES: dict[str, list[str]] = {
     # The benchmark's three workloads.
     "fbm-prefix": ["experiment", *_sets(*_FBM, "steps=20", "n_max=200", "replications=10")],
@@ -78,6 +79,7 @@ CASES: dict[str, list[str]] = {
                                       "replications=3")],
     "corr-block-2": ["experiment", *_sets(*_FBM, *_SMALL, "corr_block=2", "corr_rho=0.3")],
     "corr-block-4": ["experiment", *_sets(*_FBM, *_SMALL, "corr_block=4", "corr_rho=0.3")],
+    "corr-bm": ["experiment", *_sets(*_BM, *_SMALL, "corr_block=2", "corr_rho=0.3")],
     "bm": ["experiment", *_sets(*_BM, *_SMALL)],
     "eval-points-fbm": ["experiment", *_sets(*_FBM, "n_max=30", "eval_points=3,9,17",
                                              "replications=5")],
@@ -97,6 +99,8 @@ CASES: dict[str, list[str]] = {
     "estimate-bm": ["estimate", *_sets(*_BM, "n_max=20")],
     "simulate": ["simulate", *_sets(*_FBM, "n_max=4", "replications=2")],
     "estimate-input": ["estimate", *_sets(*_FBM)],
+    "simulate-bm": ["simulate", *_sets(*_BM, "n_max=4", "replications=2")],
+    "estimate-input-bm": ["estimate", *_sets(*_BM)],
     "estimate-enforce-omega": ["estimate", *_sets(*_FBM, "n_max=20", "enforce_omega=true")],
     # Omega_N fails in some trials: one warning line.
     "coverage-omega-warning": ["coverage", *_sets(*_FBM, "T=5", "n_max=20",
@@ -148,6 +152,9 @@ CASES: dict[str, list[str]] = {
                                                     "sigma=1", "H=0.7", "n_max=5",
                                                     "replications=2")],
 }
+
+# estimate-input case -> the simulate case whose first bundle it reads.
+_INPUTS = {"estimate-input": "simulate", "estimate-input-bm": "simulate-bm"}
 
 
 def _sha(data: bytes) -> str:
@@ -266,14 +273,16 @@ def main(args: list[str] | None = None) -> int:
     names = opts.case or list(CASES)
     with tempfile.TemporaryDirectory() as tmp:
         root = opts.keep or Path(tmp)
-        # The bundle "estimate-input" reads, written whether or not "simulate" is run.
-        bundle_dir = Path(tmp, "bundle")
-        run_case([*CASES["simulate"], "--seed", str(opts.seed), "--workers", "1"], bundle_dir)
+        # The bundles the estimate-input cases read, written whether or not their
+        # simulate cases are run.
+        bundles = Path(tmp, "bundle")
+        for name in _INPUTS.values():
+            run_case([*CASES[name], "--seed", str(opts.seed), "--workers", "1"], bundles / name)
         for workers in opts.workers.split(","):
             for name in names:
                 argv = [*CASES[name], "--seed", str(opts.seed), "--workers", workers]
-                if name == "estimate-input":
-                    argv += ["--input", str(bundle_dir / "bundle_0000.csv")]
+                if name in _INPUTS:
+                    argv += ["--input", str(bundles / _INPUTS[name] / "bundle_0000.csv")]
                 out = root / name / f"w{workers}"
                 out.parent.mkdir(parents=True, exist_ok=True)
                 lines = [f"{what} {value}" for what, value in run_case(argv, out)]

@@ -7,51 +7,15 @@ fixed-point construction (H > 1/2) or by discrete-time least squares
 experiment engine on top.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateStatisticsError,
-    DivergenceError,
-    FpdriftError,
-)
-from .fbm import (
-    CrossCorrelation,
-    Grid,
-    HurstParams,
-    PathBundle,
-    block_correlation,
-    fbm_covariance,
-    sample_fbm_bundle,
-)
-from .sde import (
-    DriftModel,
-    SdeSpec,
-    drift_model,
-    euler_additive,
-)
-from .estimators import (
-    BmEstimatorCache,
-    EstimateBM,
-    EstimateFBM,
-    FbmEstimatorCache,
-    SufficientStats,
-    check_omega,
-    dmax_from_lower_bound,
-    dmax_ou,
-    fixed_point,
-    iteration_schedule,
-    normal_quantile,
-)
-from .montecarlo import (
-    ExperimentConfig,
-    SummaryReport,
-    coverage_experiment,
-    default_workers,
-    run_experiment,
-    run_trial,
-    run_trials,
-    summarize,
-    threshold_sweep,
-)
+from .errors import ConfigError, DegenerateStatisticsError, DivergenceError, FpdriftError
+from .fbm import (CrossCorrelation, Grid, HurstParams, PathBundle, block_correlation,
+                  fbm_covariance, sample_fbm_bundle)
+from .sde import DriftModel, SdeSpec, drift_model, euler_additive
+from .estimators import (BmEstimatorCache, EstimateBM, EstimateFBM, FbmEstimatorCache,
+                         SufficientStats, check_omega, dmax_from_lower_bound, dmax_ou,
+                         fixed_point, iteration_schedule, normal_quantile)
+from .montecarlo import (ExperimentConfig, SummaryReport, coverage_experiment, default_workers,
+                         run_experiment, run_trial, run_trials, summarize, threshold_sweep)
 from .config import RunConfig, parse_config
 
 __all__ = [

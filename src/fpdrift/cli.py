@@ -92,13 +92,10 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _bundle_csv_lines(bundle: PathBundle) -> list[str]:
-    n = bundle.n_paths
-    lines = ["t," + ",".join(f"path_{i + 1}" for i in range(n))]
-    nodes = bundle.grid.nodes
-    for j, t in enumerate(nodes):
-        row = [_fmt(t)] + [_fmt(bundle.values[i, j]) for i in range(n)]
-        lines.append(",".join(row))
-    return lines
+    """The header, then one row per node: its time and each path's value there."""
+    rows = zip(bundle.grid.nodes.tolist(), bundle.values.T.tolist())
+    return ["t," + ",".join(f"path_{i + 1}" for i in range(bundle.n_paths)),
+            *(",".join(map(_fmt, [t, *row])) for t, row in rows)]
 
 
 def _read_bundle_csv(path: str) -> PathBundle:

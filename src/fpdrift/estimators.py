@@ -150,6 +150,12 @@ def _prefix_sums(per_path: np.ndarray, ns: np.ndarray) -> np.ndarray:
         return np.stack([np.add.reduce(per_path[..., :n], axis=-1) for n in ns.tolist()], -1)
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a summed down each column, row by row, as numpy reduces a wider array's first
+    axis; one column alone it would sum pairwise, so that one is accumulated."""
+    return np.add.accumulate(a, axis=0)[-1] if a.shape[1] == 1 else np.add.reduce(a, axis=0)
+
+
 def _check_per_path(per_path: np.ndarray, what: str) -> None:
     """Raise where a path's D or I (bm: D or V) left the float range. Its Ybar,
     per_path[2], is left to the interval check of `_rows`."""
@@ -393,7 +399,7 @@ class FbmEstimatorCache:
         self.hurst = hurst
         self.sigma = sigma
         self.t_total = paths.grid.horizon
-        x = paths.values
+        x = np.ascontiguousarray(paths.values)  # path-major, whatever the storage
         dt = paths.grid.mesh
         # An overflow here is reported once, as DivergenceError, not as warnings.
         with np.errstate(all="ignore"):
@@ -589,19 +595,31 @@ class BmEstimatorCache:
     """Per-path statistics of the discrete-time least-squares estimator (H = 1/2)."""
 
     def __init__(self, paths: PathBundle, drift: DriftModel, sigma: float):
-        x = paths.values
+        # Time-major: each path sums along time row by row, in one order whatever the
+        # bundle's storage and however many paths it holds.
+        x = np.ascontiguousarray(paths.values.T)
         dt = paths.grid.mesh
         self.t_total = paths.grid.horizon
         self.n_paths = paths.n_paths
         # Per-path contributions to D, V and Ybar, summed over each prefix. An
         # overflow here is reported as DivergenceError, here or by `estimates`.
         with np.errstate(over="ignore", invalid="ignore"):
-            b_nodes = drift.b(x[:, :-1])
-            b_sq = b_nodes**2
-            self._per_path = np.stack([b_sq.sum(axis=1) * dt,
-                                       (b_nodes * np.diff(x, axis=1)).sum(axis=1),
-                                       (b_sq * sigma**2).sum(axis=1) * dt])
+            b = drift.b(x[:-1])
+            b_dx = np.subtract(x[1:], x[:-1])
+            b_dx *= b
+            v = _column_sums(b_dx)
+            b_sq = np.multiply(b, b, out=b_dx)  # not in b, which may be x's own rows
+            d = _column_sums(b_sq) * dt
+            b_sq *= sigma**2
+            self._per_path = np.stack([d, v, _column_sums(b_sq) * dt])
         _check_per_path(self._per_path, "b(X)^2 or b(X) dX")
+
+    def split(self, size: int) -> list["BmEstimatorCache"]:
+        """Caches of this one's consecutive size paths, with the bits each has alone."""
+        parts = [object.__new__(BmEstimatorCache) for _ in range(0, self.n_paths, size)]
+        for part, per_path in zip(parts, np.split(self._per_path, len(parts), axis=1)):
+            part.t_total, part.n_paths, part._per_path = self.t_total, size, per_path
+        return parts
 
     @staticmethod
     def solve(caches: Sequence["BmEstimatorCache"], points: Optional[Sequence[int]] = None, *,

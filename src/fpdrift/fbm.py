@@ -1,9 +1,11 @@
 """Exact sampling of (possibly cross-correlated) fractional Brownian motion bundles.
 
 Paths are sampled on a uniform grid by Cholesky factorization of the node
-covariance, which is exact for the small grids used here. Cross-correlation
-between copies is applied by left-multiplying the standard-normal draw with
-the Cholesky factor of the correlation matrix.
+covariance, which is exact for the small grids used here. At H = 1/2 the
+covariance min(s, t) has the closed-form factor sqrt(mesh) 1{j <= i}, so the
+sampler forms Brownian paths as running sums of sqrt(mesh) z instead, time-major.
+Cross-correlation between copies is applied by left-multiplying the
+standard-normal draw with the Cholesky factor of the correlation matrix.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ class CrossCorrelation:
 
 @dataclass
 class PathBundle:
-    """N sampled trajectories on a grid; rows are paths, columns are nodes."""
+    """N sampled trajectories on a grid; rows are paths, columns are nodes. `values`
+    may be the transposed view of time-major storage, as the Euler scheme returns it."""
 
     grid: Grid
     values: np.ndarray  # shape (N, steps + 1)
@@ -186,20 +189,29 @@ def sample_fbm_bundles(hurst: HurstParams, grid: Grid, corrs: Sequence[CrossCorr
                        rngs: Sequence[np.random.Generator]) -> PathBundle:
     """One bundle of every rng's draws, corr by corr: rows t*n..(t+1)*n - 1 of the block
     of corr (n = corr.size) are, bit for bit, those `sample_fbm_bundle(hurst, grid, corr,
-    rngs[t])` would draw next, as a 3-D matmul makes one gemm per rng."""
-    l_time = _time_factor(hurst, grid)
-    ends = np.cumsum([len(rngs) * corr.size for corr in corrs]).tolist()
-    values = np.zeros((ends[-1], grid.steps + 1))
-    for corr, block in zip(corrs, np.split(values, ends[:-1])):
+    rngs[t])` would draw next, as a 3-D matmul makes one gemm per rng. At H = 1/2 the
+    paths are running sums of sqrt(mesh) z, stored time-major: `values` is a transposed view."""
+    brownian, ends = hurst.h == 0.5, np.cumsum([len(rngs) * c.size for c in corrs]).tolist()
+    l_time = None if brownian else _time_factor(hurst, grid)
+    values = np.zeros((grid.steps + 1, ends[-1]) if brownian else (ends[-1], grid.steps + 1))
+    for corr, block in zip(corrs, np.split(values, ends[:-1], axis=int(brownian))):
         z = np.empty((len(rngs), corr.size, grid.steps))
         for rng, draw in zip(rngs, z):
             rng.standard_normal(out=draw)
+        if brownian:  # the factor of min(s, t) is sqrt(mesh) 1{j <= i}
+            y = z if corr.is_identity else np.matmul(corr.factor, z)
+            np.multiply(y.reshape(-1, grid.steps).T, np.sqrt(grid.mesh), out=block[1:])
+            continue
         out = block.reshape(z.shape[:2] + (-1,))[..., 1:]
         if corr.is_identity:
             np.matmul(z, l_time.T, out=out)
         else:
             np.matmul(corr.factor, z @ l_time.T, out=out)
-    return PathBundle(grid=grid, values=values, kind="noise")
+    if not brownian:
+        return PathBundle(grid=grid, values=values, kind="noise")
+    for previous, row in zip(values[1:-1], values[2:]):  # one contiguous row add per step
+        row += previous
+    return PathBundle(grid=grid, values=values.T, kind="noise")
 
 
 def sample_fbm_bundle(

@@ -7,7 +7,7 @@ once, and evaluates the estimator on path prefixes 1..N. This prefix reuse
 makes the per-trial trajectory N -> estimate a function of a single simulation,
 and keeps every trial deterministic in (config, trial_index) regardless of how
 trials are scheduled across workers. A chunk of consecutive trials is sampled,
-simulated and solved as arrays, one gemm per trial, which changes no trial's numbers.
+simulated and solved as arrays, at most one gemm per trial, which changes no trial's numbers.
 
 A run on K workers cuts the trials into K consecutive shares. The calling
 process forks K - 1 children with os.fork, one per share after the first, runs
@@ -208,14 +208,23 @@ def _run_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
     # rng stream does not depend on them), or with fresh paths one bundle per point.
     sizes = [(n,) for n in points] if fresh else [points]
     lengths = [ns[-1] if fresh else config.n_max for ns in sizes]
-    paths = simulate_bundles(config, [trial_rng(config, i) for i in indices], lengths)
+    values = simulate_bundles(config, [trial_rng(config, i) for i in indices], lengths).values
     # Each trial's bundle is m rows of its size's block; its cache takes the first ns[-1].
-    starts = (np.cumsum([0, *lengths]) * len(indices)).tolist()
-    groups = [[estimator_cache(config, replace(paths, values=paths.values[a:a + ns[-1]]))
-               for a in range(start, stop, m)]
-              for ns, m, start, stop in zip(sizes, lengths, starts, starts[1:])]
+    # fbm caches sum path-major: one copy per chunk, which frees the time-major storage.
+    # bm caches sum that storage as it is, in one cache per size cut into the trials'.
+    grid, fbm = config.grid(), config.mode == "fbm"
+    values = np.ascontiguousarray(values) if fbm else values
+    starts, groups = (np.cumsum([0, *lengths]) * len(indices)).tolist(), []
+    for ns, m, a, b in zip(sizes, lengths, starts, starts[1:]):
+        block = values[a:b].reshape(len(indices), m, -1)[:, :ns[-1]]
+        if fbm:
+            groups.append([estimator_cache(config, PathBundle(grid, rows, "solution"))
+                           for rows in block])
+        else:
+            bundle = PathBundle(grid, block.reshape(-1, block.shape[-1]), "solution")
+            groups.append(estimator_cache(config, bundle).split(ns[-1]))
     # No output reads the residual |Phi_N(R_N) - R_N|, so its Phi_N sweep is skipped.
-    settings = _settings(config) | (dict(residual=False) if config.mode == "fbm" else {})
+    settings = _settings(config) | (dict(residual=False) if fbm else {})
     return np.concatenate([type(group[0]).solve(group, ns, **settings)
                            for group, ns in zip(groups, sizes)], axis=1)
 

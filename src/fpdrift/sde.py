@@ -132,4 +132,4 @@ def euler_additive(spec: SdeSpec, noise: PathBundle) -> PathBundle:
     if not np.all(np.isfinite(x)):
         raise DivergenceError("the Euler scheme produced non-finite values; "
                               "the drift explodes on this horizon")
-    return PathBundle(grid=spec.grid, values=np.ascontiguousarray(x.T), kind="solution")
+    return PathBundle(grid=spec.grid, values=x.T, kind="solution")  # time-major storage

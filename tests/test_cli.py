@@ -251,6 +251,35 @@ def test_estimate_from_simulated_file(tmp_path):
     assert bundle.n_paths == 3
 
 
+@pytest.mark.parametrize("hurst", ["0.7", "0.5"])
+def test_estimate_of_a_simulated_file_is_the_direct_estimate(tmp_path, hurst):
+    # The bundle CSV holds every value to 17 digits, and each cache sums its paths
+    # in one order whatever their storage: estimate --input of the bundle that
+    # simulate wrote gives the bytes that estimate gives from the same seed.
+    args = ["--set", "model=model1", "--set", f"H={hurst}", "--set", "steps=200",
+            "--set", "n_max=30", "--set", "replications=1", "--seed", "4", "--workers", "1"]
+    assert run_cli("simulate", *args, "--out", str(tmp_path / "bundle")) == 0
+    assert run_cli("estimate", *args, "--out", str(tmp_path / "direct")) == 0
+    assert run_cli("estimate", *args, "--out", str(tmp_path / "input"),
+                   "--input", str(tmp_path / "bundle" / "bundle_0000.csv")) == 0
+    direct = (tmp_path / "direct" / "estimate.json").read_bytes()
+    assert (tmp_path / "input" / "estimate.json").read_bytes() == direct
+    assert ("D_N" if hurst == "0.7" else "D_Nn") in json.loads(direct)
+
+
+def test_correlated_bm_keeps_every_byte_under_any_worker_count(tmp_path):
+    # Correlated Brownian copies: the cross factor's gemm runs once per trial, so
+    # its bits do not depend on how trials are cut into shares and chunks.
+    argv = ["experiment", "--set", "model=model2", "--set", "mode=bm", "--set", "H=0.5",
+            "--set", "n_max=20", "--set", "replications=7", "--set", "corr_block=2",
+            "--set", "corr_rho=0.3", "--seed", "3"]
+    for workers in ("1", "2", "3"):
+        assert run_cli(*argv, "--workers", workers, "--out", str(tmp_path / f"w{workers}")) == 0
+    for name in ("summary.csv", "trajectories.csv"):
+        written = [(tmp_path / f"w{workers}" / name).read_bytes() for workers in "123"]
+        assert written[0] == written[1] == written[2]
+
+
 def test_estimate_missing_input_is_io_error(tmp_path):
     code = run_cli("estimate", *common_args(tmp_path),
                    "--input", str(tmp_path / "nope.csv"))

@@ -132,6 +132,41 @@ def test_small_grid_oracles(steps, n, model):
         assert got_y == pytest.approx(want_y, rel=1e-12)
 
 
+def _caches(mode, bundle):
+    drift = drift_model("model1")
+    if mode == "fbm":
+        return FbmEstimatorCache(bundle, drift, HurstParams(h=0.7), 0.25)
+    return BmEstimatorCache(bundle, drift, sigma=0.25)
+
+
+@pytest.mark.parametrize("mode,h", [("fbm", 0.7), ("bm", 0.5)])
+def test_cache_rows_do_not_depend_on_the_bundle_storage(mode, h):
+    # Path-major, time-major (as the Euler scheme stores it) and a column block of
+    # a wider array (as a bundle CSV is read): the same values, the same bits.
+    bundle = solution_bundle(model="model1", h=h, horizon=0.1, sigma=0.25, steps=150, n=9)
+    wide = np.zeros((bundle.grid.steps + 1, 11))
+    wide[:, 1:10] = bundle.values.T
+    storages = [np.ascontiguousarray(bundle.values), np.ascontiguousarray(bundle.values.T).T,
+                wide[:, 1:10].T]
+    rows = [_caches(mode, PathBundle(bundle.grid, values, "solution")).estimates(range(1, 10))
+            for values in storages]
+    assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_bm_split_caches_are_the_caches_of_their_paths(size):
+    # One cache of three blocks of paths, cut in three: each part has the bits
+    # of a cache built from its block alone, a one-path block too.
+    bundle = solution_bundle(model="model1", h=0.5, horizon=0.1, sigma=0.25, steps=150,
+                             n=3 * size)
+    parts = _caches("bm", bundle).split(size)
+    assert [part.n_paths for part in parts] == [size] * 3
+    for k, part in enumerate(parts):
+        alone = PathBundle(bundle.grid, bundle.values[k * size:(k + 1) * size], "solution")
+        points = range(1, size + 1)
+        assert part.estimates(points).tobytes() == _caches("bm", alone).estimates(points).tobytes()
+
+
 @pytest.mark.parametrize("steps,n", [(2, 1), (3, 2)])
 def test_bm_estimator_oracle(steps, n):
     bundle = solution_bundle(model="model2", h=0.5, sigma=1.0, horizon=0.5,

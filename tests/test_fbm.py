@@ -182,3 +182,21 @@ def test_increment_variance_property(h, steps):
         for j in range(i + 1, steps):
             incr_var = cov[j, j] - 2 * cov[i, j] + cov[i, i]
             assert incr_var == pytest.approx((t[j] - t[i]) ** (2 * h), rel=1e-9)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_brownian_running_sum_matches_the_cholesky_sample(q):
+    # At H = 1/2 the sampler sums sqrt(mesh) z over time instead of applying the
+    # Cholesky factor of min(s, t): the same paths from the same draws, up to
+    # rounding, stored time-major.
+    grid, n = Grid(horizon=0.75, steps=100), 12
+    corr = block_correlation(n, q, 0.3)
+    bundle = sample_fbm_bundle(HurstParams(h=0.5), grid, corr, np.random.default_rng(5))
+    assert bundle.values.shape == (n, 101) and bundle.values.T.flags.c_contiguous
+    z = np.random.default_rng(5).standard_normal((n, grid.steps))
+    want = z @ np.linalg.cholesky(fbm_covariance(HurstParams(h=0.5), grid)).T
+    if q > 1:
+        want = corr.factor @ want
+    assert np.all(bundle.values[:, 0] == 0.0)
+    np.testing.assert_allclose(bundle.values[:, 1:], want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())

@@ -469,6 +469,8 @@ CHUNK_CONFIGS = {
     "eval-points-omega": dict(n_max=40, eval_points=(3, 17, 40), enforce_omega=True),
     "fresh-paths": dict(n_max=6, fresh_paths_per_n=True),
     "bm": dict(hurst=0.5, mode="bm", n_max=20),
+    # At N = 1 a chunk of one trial holds one path: a one-column time-major array.
+    "fresh-bm": dict(hurst=0.5, mode="bm", n_max=6, fresh_paths_per_n=True),
     "model1-steps400": dict(model="model1", horizon=0.1, sigma=0.25, steps=400, n_max=6),
     "fresh-paths-corr": dict(n_max=8, eval_points=(2, 4, 6, 8), fresh_paths_per_n=True,
                              corr_block=2, corr_rho=0.5),
@@ -549,6 +551,7 @@ def test_correlated_run_factors_the_cross_matrix_once(monkeypatch):
 SIMULATION_CONFIGS = {
     "model1-steps400": dict(model="model1", horizon=0.1, sigma=0.25, steps=400),
     "corr-block": dict(n_max=8, corr_block=2, corr_rho=0.5),
+    "bm-corr-block": dict(hurst=0.5, mode="bm", n_max=8, corr_block=2, corr_rho=0.5),
     "custom": dict(model="custom:-1,0,1,0", hurst=0.7, horizon=1.0, x0=0.0),
 }
 

@@ -104,7 +104,8 @@ def test_euler_additive_matches_columnwise_oracle(model, horizon, x0, h):
     spec = SdeSpec(x0=x0, theta0=1.5, sigma=0.8, drift=drift_model(model),
                    hurst=hurst, grid=grid)
     out = euler_additive(spec, noise)
-    assert out.values.shape == (7, 51) and out.values.flags.c_contiguous
+    # The state is stored time-major, and values is its transposed view.
+    assert out.values.shape == (7, 51) and out.values.T.flags.c_contiguous
     assert np.array_equal(out.values, _euler_oracle(spec, noise))
 
 
