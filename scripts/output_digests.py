@@ -134,6 +134,10 @@ CASES: dict[str, list[str]] = {
                                                "replications=1")],
     "fresh-corr-12": ["experiment", *_sets(*_FBM, *_FRESH, "n_max=12",
                                            "eval_points=2,4,6,8,10,12", "replications=3")],
+    # Fresh paths in several chunks per share: 32 trials a chunk at n_max = 40, steps = 100.
+    "fresh-bm-chunks": ["experiment", *_sets(
+        *_BM, "fresh_paths_per_n=true", "steps=100", "n_max=40",
+        "eval_points=" + ",".join(str(n) for n in range(2, 41, 2)), "replications=70")],
     "fresh-corr-40": ["experiment", *_sets(
         *_FBM, *_FRESH, "n_max=40",
         "eval_points=" + ",".join(str(n) for n in range(2, 41, 2)), "replications=2")],
@@ -148,6 +152,11 @@ CASES: dict[str, list[str]] = {
     # sup|b'|^2 underflows in Omega_N's bound, and 2 T alpha_bar sup|b'| in the schedule.
     "tiny-b-prime": ["experiment", *_sets("model=custom:1e-200,1", "T=1", "sigma=1", "H=0.7",
                                           "n_max=5", "replications=2")],
+    # sigma^2 sup|b'|^2 = 1e400 overflows in Omega_N's bound, which then fails; every
+    # D_N = 0 (exit 3).
+    "omega-bound-overflow": ["experiment", *_sets("model=custom:1e200,0", "H=0.7", "T=1",
+                                                  "sigma=1", "x0=0", "steps=1", "n_max=2",
+                                                  "replications=2")],
     "tiny-schedule-constant": ["experiment", *_sets("model=custom:1e-300,0", "T=1e-150",
                                                     "sigma=1", "H=0.7", "n_max=5",
                                                     "replications=2")],

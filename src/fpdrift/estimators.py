@@ -274,11 +274,12 @@ def check_omega(
         return True  # the map is identically zero, trivially a contraction
     if np.any(stats.d_n <= 0.0):
         raise DegenerateStatisticsError("D_N vanished; the contraction event is undefined")
-    lhs = t_total ** (2.0 * hurst.h) * stats.m_n / stats.d_n
-    bound = hurst.alpha_bar * sigma**2 * sup_norm_b_prime**2
-    # Where the bound underflows to 0, the right side is +inf: Omega_N holds.
-    rhs = c / bound if bound > 0.0 else math.inf
-    return lhs <= rhs
+    # float64 powers: where T^2H or the bound overflows to inf, Omega_N fails. Where
+    # the bound underflows to 0, the right side is +inf: Omega_N holds.
+    with np.errstate(over="ignore"):
+        lhs = np.float64(t_total) ** (2.0 * hurst.h) * stats.m_n / stats.d_n
+        bound = hurst.alpha_bar * np.float64(sigma)**2 * np.float64(sup_norm_b_prime)**2
+    return lhs <= (c / bound if bound > 0.0 else math.inf)
 
 
 def fixed_point(

@@ -185,33 +185,31 @@ def _time_factor(hurst: HurstParams, grid: Grid) -> np.ndarray:
     return factor
 
 
-def sample_fbm_bundles(hurst: HurstParams, grid: Grid, corrs: Sequence[CrossCorrelation],
+def sample_fbm_bundles(hurst: HurstParams, grid: Grid, corr: CrossCorrelation,
                        rngs: Sequence[np.random.Generator]) -> PathBundle:
-    """One bundle of every rng's draws, corr by corr: rows t*n..(t+1)*n - 1 of the block
-    of corr (n = corr.size) are, bit for bit, those `sample_fbm_bundle(hurst, grid, corr,
-    rngs[t])` would draw next, as a 3-D matmul makes one gemm per rng. At H = 1/2 the
-    paths are running sums of sqrt(mesh) z, stored time-major: `values` is a transposed view."""
-    brownian, ends = hurst.h == 0.5, np.cumsum([len(rngs) * c.size for c in corrs]).tolist()
+    """One bundle of corr.size copies per rng: rows t*n..(t+1)*n - 1 (n = corr.size) are,
+    bit for bit, those `sample_fbm_bundle(hurst, grid, corr, rngs[t])` would draw, as a
+    3-D matmul makes one gemm per rng. At H = 1/2 the paths are running sums of
+    sqrt(mesh) z, stored time-major: `values` is a transposed view."""
+    brownian, paths = hurst.h == 0.5, len(rngs) * corr.size
     l_time = None if brownian else _time_factor(hurst, grid)
-    values = np.zeros((grid.steps + 1, ends[-1]) if brownian else (ends[-1], grid.steps + 1))
-    for corr, block in zip(corrs, np.split(values, ends[:-1], axis=int(brownian))):
-        z = np.empty((len(rngs), corr.size, grid.steps))
-        for rng, draw in zip(rngs, z):
-            rng.standard_normal(out=draw)
-        if brownian:  # the factor of min(s, t) is sqrt(mesh) 1{j <= i}
-            y = z if corr.is_identity else np.matmul(corr.factor, z)
-            np.multiply(y.reshape(-1, grid.steps).T, np.sqrt(grid.mesh), out=block[1:])
-            continue
-        out = block.reshape(z.shape[:2] + (-1,))[..., 1:]
-        if corr.is_identity:
-            np.matmul(z, l_time.T, out=out)
-        else:
-            np.matmul(corr.factor, z @ l_time.T, out=out)
-    if not brownian:
-        return PathBundle(grid=grid, values=values, kind="noise")
-    for previous, row in zip(values[1:-1], values[2:]):  # one contiguous row add per step
-        row += previous
-    return PathBundle(grid=grid, values=values.T, kind="noise")
+    # values before z: in this order fbm chunks ran ~1.5% faster (paired timings).
+    values = np.zeros((grid.steps + 1, paths) if brownian else (paths, grid.steps + 1))
+    z = np.empty((len(rngs), corr.size, grid.steps))
+    for rng, draw in zip(rngs, z):
+        rng.standard_normal(out=draw)
+    if brownian:  # the factor of min(s, t) is sqrt(mesh) 1{j <= i}
+        y = z if corr.is_identity else np.matmul(corr.factor, z)
+        np.multiply(y.reshape(-1, grid.steps).T, np.sqrt(grid.mesh), out=values[1:])
+        for previous, row in zip(values[1:-1], values[2:]):  # one contiguous row add per step
+            row += previous
+        return PathBundle(grid=grid, values=values.T, kind="noise")
+    out = values.reshape(z.shape[:2] + (-1,))[..., 1:]
+    if corr.is_identity:
+        np.matmul(z, l_time.T, out=out)
+    else:
+        np.matmul(corr.factor, z @ l_time.T, out=out)
+    return PathBundle(grid=grid, values=values, kind="noise")
 
 
 def sample_fbm_bundle(
@@ -221,7 +219,7 @@ def sample_fbm_bundle(
     rng: np.random.Generator,
 ) -> PathBundle:
     """Draw an exact Gaussian bundle with Cov(B^i_s, B^k_t) = R_ik * R_H(s, t)."""
-    return sample_fbm_bundles(hurst, grid, (corr,), (rng,))
+    return sample_fbm_bundles(hurst, grid, corr, (rng,))
 
 
 @functools.lru_cache(maxsize=8)

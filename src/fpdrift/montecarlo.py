@@ -6,8 +6,9 @@ SeedSequence(master_seed, spawn_key=(trial_index,)), simulates the solutions
 once, and evaluates the estimator on path prefixes 1..N. This prefix reuse
 makes the per-trial trajectory N -> estimate a function of a single simulation,
 and keeps every trial deterministic in (config, trial_index) regardless of how
-trials are scheduled across workers. A chunk of consecutive trials is sampled,
-simulated and solved as arrays, at most one gemm per trial, which changes no trial's numbers.
+trials are scheduled across workers (fresh_paths_per_n draws one bundle per eval
+point instead, in turn). A chunk of trials is sampled, simulated and solved as arrays,
+one bundle size at a time, at most one gemm per trial and size: no trial's numbers move.
 
 A run on K workers cuts the trials into K consecutive shares. The calling
 process forks K - 1 children with os.fork, one per share after the first, runs
@@ -159,12 +160,12 @@ def trial_rng(config: ExperimentConfig, trial_index: int) -> np.random.Generator
 
 
 def simulate_bundles(config: ExperimentConfig, rngs: Sequence[np.random.Generator],
-                     sizes: Sequence[int]) -> PathBundle:
-    """One bundle of Euler solutions, size by size: rows t*n..(t+1)*n - 1 of the block
-    of size n are the bits `simulate_bundle(config, rngs[t], n)` would give next."""
+                     n: int) -> PathBundle:
+    """Euler solutions of n copies per rng: rows t*n..(t+1)*n - 1 are the bits
+    `simulate_bundle(config, rngs[t], n)` would give."""
     grid, hurst = config.grid(), config.hurst_params()
-    corrs = [block_correlation(n, config.corr_block, config.corr_rho) for n in sizes]
-    noise = sample_fbm_bundles(hurst, grid, corrs, rngs)
+    corr = block_correlation(n, config.corr_block, config.corr_rho)
+    noise = sample_fbm_bundles(hurst, grid, corr, rngs)
     spec = SdeSpec(x0=config.x0, theta0=config.theta0, sigma=config.sigma,
                    drift=config.drift(), hurst=hurst, grid=grid)
     return euler_additive(spec, noise)
@@ -172,7 +173,7 @@ def simulate_bundles(config: ExperimentConfig, rngs: Sequence[np.random.Generato
 
 def simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int) -> PathBundle:
     """Euler solutions of n copies driven by one fBm draw from rng."""
-    return simulate_bundles(config, (rng,), (n,))
+    return simulate_bundles(config, (rng,), n)
 
 
 def estimator_cache(config: ExperimentConfig,
@@ -200,33 +201,32 @@ def estimate(config: ExperimentConfig, cache: FbmEstimatorCache | BmEstimatorCac
 
 
 def _run_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
-    """Consecutive deterministic trials, each drawn from its own rng, simulated in
-    one bundle and solved together: one `solve` call per bundle size. Returns the
-    solve rows, shape (len(indices), len(config.points))."""
-    points, fresh = config.points, config.fresh_paths_per_n
-    # One bundle per trial serves every eval point (all n_max paths are drawn, so the
-    # rng stream does not depend on them), or with fresh paths one bundle per point.
-    sizes = [(n,) for n in points] if fresh else [points]
-    lengths = [ns[-1] if fresh else config.n_max for ns in sizes]
-    values = simulate_bundles(config, [trial_rng(config, i) for i in indices], lengths).values
-    # Each trial's bundle is m rows of its size's block; its cache takes the first ns[-1].
-    # fbm caches sum path-major: one copy per chunk, which frees the time-major storage.
-    # bm caches sum that storage as it is, in one cache per size cut into the trials'.
+    """Consecutive deterministic trials, each drawn from its own rng, solved together:
+    per bundle size, one bundle of all the trials' paths and one `solve` call.
+    Returns the solve rows, shape (len(indices), len(config.points))."""
+    rngs, points = [trial_rng(config, i) for i in indices], config.points
+    # One bundle of n_max paths serves every eval point (all are drawn, so the rng
+    # stream does not depend on them), or with fresh paths one bundle per point in turn.
+    sizes = [(n, (n,)) for n in points] if config.fresh_paths_per_n else [(config.n_max, points)]
     grid, fbm = config.grid(), config.mode == "fbm"
-    values = np.ascontiguousarray(values) if fbm else values
-    starts, groups = (np.cumsum([0, *lengths]) * len(indices)).tolist(), []
-    for ns, m, a, b in zip(sizes, lengths, starts, starts[1:]):
-        block = values[a:b].reshape(len(indices), m, -1)[:, :ns[-1]]
-        if fbm:
-            groups.append([estimator_cache(config, PathBundle(grid, rows, "solution"))
-                           for rows in block])
-        else:
-            bundle = PathBundle(grid, block.reshape(-1, block.shape[-1]), "solution")
-            groups.append(estimator_cache(config, bundle).split(ns[-1]))
     # No output reads the residual |Phi_N(R_N) - R_N|, so its Phi_N sweep is skipped.
     settings = _settings(config) | (dict(residual=False) if fbm else {})
-    return np.concatenate([type(group[0]).solve(group, ns, **settings)
-                           for group, ns in zip(groups, sizes)], axis=1)
+    rows = []
+    for m, ns in sizes:
+        values = simulate_bundles(config, rngs, m).values
+        # Each trial's bundle is m rows of the chunk's; its cache takes the first ns[-1].
+        # fbm caches sum path-major: one copy per bundle, which frees the time-major
+        # storage. bm caches sum that storage as it is, in one cache cut into the trials'.
+        values = np.ascontiguousarray(values) if fbm else values
+        block = values.reshape(len(rngs), m, -1)[:, :ns[-1]]
+        if fbm:
+            caches = [estimator_cache(config, PathBundle(grid, paths, "solution"))
+                      for paths in block]
+        else:
+            bundle = PathBundle(grid, block.reshape(-1, block.shape[-1]), "solution")
+            caches = estimator_cache(config, bundle).split(ns[-1])
+        rows.append(type(caches[0]).solve(caches, ns, **settings))
+    return np.concatenate(rows, axis=1)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> np.ndarray:
@@ -319,9 +319,10 @@ def _one_blas_thread():
         set_(previous)
 
 
-# Path nodes a chunk of trials may simulate, n_max * (steps + 1) per trial (the
-# sum over the eval points with fresh paths): enough trials to pay numpy's fixed
-# costs once per chunk, few enough that the chunk's caches stay small.
+# Path nodes a chunk of trials may simulate, n_max * (steps + 1) per trial, the
+# most one bundle size holds (with fresh paths one size is alive at a time):
+# enough trials to pay numpy's fixed costs once per chunk, few enough that the
+# chunk's caches stay small.
 _CHUNK_NODES = 2**17
 
 
@@ -398,8 +399,7 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> np.ndarray:
         raise MemoryError(f"replications: out of memory for the results of {reps} "
                           f"trials ({exc})") from exc
     workers = max(1, min(workers, reps)) if hasattr(os, "fork") else 1
-    nodes = sum(config.points if config.fresh_paths_per_n else (config.n_max,))
-    size = max(1, _CHUNK_NODES // (nodes * (config.steps + 1)))
+    size = max(1, _CHUNK_NODES // (config.n_max * (config.steps + 1)))
     bounds = [k * reps // workers for k in range(workers + 1)]
     shares = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     # Forked children inherit the parent's modules and malloc settings: importing

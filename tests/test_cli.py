@@ -376,11 +376,23 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
     # every prefix; b(X)^2 underflows too, so every D_N = 0.
     (("experiment", "--set", "model=custom:1e-300,0", "--set", "T=1e-150", "--set", "sigma=1",
       "--set", "H=0.7", "--set", "n_max=5", "--set", "replications=2"), 3),
+    # sigma^2 sup|b'|^2 = 1e400 overflows in Omega_N's bound, which then fails; b(x0) = 0
+    # on the one left-point node leaves every D_N = 0.
+    (("experiment", "--set", "model=custom:1e200,0", "--set", "H=0.7", "--set", "T=1",
+      "--set", "sigma=1", "--set", "x0=0", "--set", "n_max=2", "--set", "replications=2",
+      "--set", "steps=1"), 3),
+    # The same bound overflows, and Phi_N too.
+    (("estimate", "--set", "model=custom:1e200,0", "--set", "H=0.7", "--set", "T=1",
+      "--set", "sigma=1e-160", "--set", "x0=0", "--set", "n_max=2", "--set", "replications=2",
+      "--set", "steps=2"), 3),
+    # A bundle on T = 1e300, whose T^2H overflows in Omega_N, and Phi_N too.
+    ("t,path_1,path_2\n0,5,5\n5e299,4,3\n1e300,3,2\n", 3),
 ], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
         "fbm-overflow", "interval-overflow", "bm-interval-overflow", "statistic-overflow",
         "antiderivative-overflow", "bm-statistic-overflow", "undefined-final-estimates",
         "error-overflow", "prefix-sum-overflow", "fbm-horizon-square-overflow",
-        "schedule-constant-underflow"])
+        "schedule-constant-underflow", "omega-bound-overflow", "omega-bound-overflow-estimate",
+        "omega-horizon-overflow"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")
@@ -391,7 +403,7 @@ def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     assert code == expected
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if not isinstance(case, tuple):
+    if not isinstance(case, tuple) and expected == 2:  # a malformed file is named
         assert str(tmp_path / "bundle.csv") in err
 
 

@@ -479,14 +479,28 @@ CHUNK_CONFIGS = {
 }
 
 
+def _spy_chunks(monkeypatch) -> list[tuple[int, int]]:
+    """The (start, stop) of each chunk `_run_chunk` runs from now on, in order."""
+    real, ranges = montecarlo._run_chunk, []
+
+    def chunk(config, indices):
+        ranges.append((indices.start, indices.stop))
+        return real(config, indices)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+    return ranges
+
+
 @pytest.mark.parametrize("case", sorted(CHUNK_CONFIGS))
 def test_chunk_size_does_not_change_results(monkeypatch, case):
     cfg = model2_config(replications=7, **CHUNK_CONFIGS[case])
-    nodes = sum(cfg.points if cfg.fresh_paths_per_n else (cfg.n_max,)) * (cfg.steps + 1)
-    runs = []
-    for trials_per_chunk in (1, 3, cfg.replications):
+    nodes = cfg.n_max * (cfg.steps + 1)
+    runs, ranges = [], _spy_chunks(monkeypatch)
+    for trials_per_chunk, chunks in ((1, 7), (3, 3), (cfg.replications, 1)):
         monkeypatch.setattr(montecarlo, "_CHUNK_NODES", trials_per_chunk * nodes)
+        ranges.clear()
         runs.append(run_trials(cfg))
+        assert len(ranges) == chunks
     assert runs[0].shape == (7, len(cfg.points))
     for name in montecarlo.RESULT_ROW.names:
         want = runs[0][name].tobytes()
@@ -500,13 +514,7 @@ def test_chunk_size_does_not_change_results(monkeypatch, case):
 
 
 def test_shares_run_in_near_equal_chunks(monkeypatch):
-    real, ranges = montecarlo._run_chunk, []
-
-    def chunk(config, indices):
-        ranges.append((indices.start, indices.stop))
-        return real(config, indices)
-
-    monkeypatch.setattr(montecarlo, "_run_chunk", chunk)
+    ranges = _spy_chunks(monkeypatch)
     cfg = model2_config(replications=30, n_max=2, steps=2)
     # A share of 25 trials in chunks of at most six: five of five, not 6, 6, 6, 6, 1.
     share = np.empty((25, len(cfg.points)), montecarlo.RESULT_ROW)
@@ -559,19 +567,14 @@ SIMULATION_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(SIMULATION_CONFIGS))
 def test_simulate_bundle_is_its_trials_block_of_a_chunk(case):
     cfg = model2_config(**SIMULATION_CONFIGS[case])
-    sizes = (8, 4, 2)
-    chunk = montecarlo.simulate_bundles(cfg, [montecarlo.trial_rng(cfg, i) for i in range(3)],
-                                        sizes)
-    assert chunk.values.shape == (3 * sum(sizes), cfg.steps + 1)
-    start = 0
-    for n in sizes:  # size by size, and within a size trial by trial
-        for i in range(3):
-            rng = montecarlo.trial_rng(cfg, i)
-            for m in sizes[:sizes.index(n)]:  # the draws of the earlier sizes
-                montecarlo.simulate_bundle(cfg, rng, m)
+    rngs = [montecarlo.trial_rng(cfg, i) for i in range(3)]
+    alone = [montecarlo.trial_rng(cfg, i) for i in range(3)]
+    for n in (8, 4, 2):  # size by size on the same rngs, as a chunk with fresh paths draws
+        chunk = montecarlo.simulate_bundles(cfg, rngs, n)
+        assert chunk.values.shape == (3 * n, cfg.steps + 1)
+        for i, rng in enumerate(alone):  # trial i's block is its rng's next draw alone
             one = montecarlo.simulate_bundle(cfg, rng, n)
-            assert one.values.tobytes() == chunk.values[start:start + n].tobytes()
-            start += n
+            assert one.values.tobytes() == chunk.values[i * n:(i + 1) * n].tobytes()
 
 
 def test_fresh_correlated_run_factors_each_size_once_per_chunk(monkeypatch):
@@ -589,12 +592,14 @@ def test_fresh_correlated_run_factors_each_size_once_per_chunk(monkeypatch):
     points = tuple(range(2, 41, 2))  # 20 bundle sizes, more than block_correlation caches
     cfg = model2_config(n_max=40, eval_points=points, fresh_paths_per_n=True, corr_block=2,
                         corr_rho=0.5, replications=10)
-    nodes = sum(points) * (cfg.steps + 1)
+    nodes, ranges = cfg.n_max * (cfg.steps + 1), _spy_chunks(monkeypatch)
     for per_chunk, chunks in ((cfg.replications, 1), (3, 4)):
         fbm.block_correlation.cache_clear()
         sizes.clear()
+        ranges.clear()
         monkeypatch.setattr(montecarlo, "_CHUNK_NODES", per_chunk * nodes)
         run_trials(cfg)
+        assert len(ranges) == chunks
         assert sorted(set(sizes)) == list(points)
         assert all(sizes.count(n) <= chunks for n in points)
 
