@@ -143,6 +143,12 @@ CASES: dict[str, list[str]] = {
         "eval_points=" + ",".join(str(n) for n in range(2, 41, 2)), "replications=2")],
     "eval-points-enforce-omega": ["experiment", *_sets(*_FBM, "n_max=40", "eval_points=3,17,40",
                                                        "enforce_omega=true", "replications=5")],
+    # 40 nonlinear trials in one chunk, the last eval point below the bundle size.
+    "model1-chunk": ["experiment", *_sets("model=model1", "H=0.7", "n_max=40",
+                                          "eval_points=3,17,30", "replications=40")],
+    # Three bm chunks, the last eval point below the bundle size.
+    "eval-points-bm-chunks": ["experiment", *_sets(*_BM, "steps=100", "n_max=40",
+                                                   "eval_points=5,20,35", "replications=70")],
     # Several chunks per share.
     "fbm-300": ["experiment", *_sets(*_FBM, "n_max=50", "replications=300")],
     "bm-400": ["coverage", *_sets(*_BM, "steps=100", "n_max=50", "replications=400")],

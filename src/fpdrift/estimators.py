@@ -22,12 +22,13 @@ costs O(n*steps) `exp` calls and one (n x steps) @ (steps x steps) matmul, and
 the cache holds O(N*steps + steps^2) numbers. The kernels are built once per
 (H, grid) and process.
 
-`FbmEstimatorCache.solve(caches, points)` solves all prefixes N in points (the
-Monte Carlo engine: N = 1..n_max) of caches of one config in one vectorized
-Picard iteration, bitwise as `cache.estimates(points)` on each. Every Phi_N
-value is the exact sum of its prefix: a Picard step makes one lag sum over the
-linear pairs and one call per row count over the others, a gemm per pair; a
-pair whose factors e^{+-sC} would overflow takes `_phi_rows`, term by term.
+A cache holds one bundle's `trials` consecutive blocks of copies (a chunk of the
+Monte Carlo engine's trials; one by default). `cache.solve(points)` solves all
+prefixes N in points of every trial in one vectorized Picard iteration, each
+trial bitwise as its own cache. Every Phi_N value is the exact sum of its prefix:
+a Picard step makes one lag sum over the linear pairs and one call per row count
+over the others, a gemm per pair; a pair whose factors e^{+-sC} would overflow
+takes `_phi_rows`, term by term.
 """
 
 from __future__ import annotations
@@ -385,101 +386,109 @@ def _ybar_contributions(b: np.ndarray, bp: np.ndarray, hurst: HurstParams, grid:
 # Monte Carlo engine can reuse one simulation across N = 1..N_max).
 # ---------------------------------------------------------------------------
 
+def _trial_size(paths: PathBundle, trials: int) -> int:
+    """The copies in each of the bundle's `trials` consecutive blocks."""
+    if trials < 1 or paths.n_paths % trials:
+        raise ValueError(f"trials={trials} does not divide the bundle's {paths.n_paths} paths")
+    return paths.n_paths // trials
+
+
 class FbmEstimatorCache:
-    """Precomputes per-path statistics of a solution bundle once, then serves
-    fixed-point estimates on path prefixes.
+    """Precomputes per-path statistics of a bundle of `trials` consecutive blocks of
+    n_paths copies once, then serves fixed-point estimates on each trial's prefixes;
+    the one-trial calls (`stats`, `ybar`, `phi`, `estimates`, `estimate`) read trial 0.
 
     Phi_N of a prefix n is always the exact sum: over the lags where b'(X) is one
-    constant beta (`_beta`), otherwise over the first n rows of b'(X) and C."""
+    constant beta on a trial's paths (`_beta`, NaN elsewhere), otherwise over the
+    trial's first n rows of b'(X) and C."""
 
-    def __init__(self, paths: PathBundle, drift: DriftModel, hurst: HurstParams, sigma: float):
+    def __init__(self, paths: PathBundle, drift: DriftModel, hurst: HurstParams, sigma: float,
+                 trials: int = 1):
         if hurst.h <= 0.5:
             raise ValueError("the fixed-point estimator requires H > 1/2")
-        self.paths = paths
-        self.drift = drift
-        self.hurst = hurst
-        self.sigma = sigma
+        self.drift, self.hurst, self.sigma = drift, hurst, sigma
+        self.grid, self.n_paths = paths.grid, _trial_size(paths, trials)
         self.t_total = paths.grid.horizon
-        x = np.ascontiguousarray(paths.values)  # path-major, whatever the storage
         dt = paths.grid.mesh
-        # An overflow here is reported once, as DivergenceError, not as warnings.
+        self._per_path, self._beta = np.empty((3, trials, self.n_paths)), np.empty(trials)
+        # One trial at a time, path-major whatever the storage, so that the temporaries
+        # are one trial's. An overflow is reported once, as DivergenceError, not as warnings.
         with np.errstate(all="ignore"):
-            b, bp = drift.b(x), drift.b_prime(x)
-            d_i = (b[:, :-1] ** 2).sum(axis=1) * dt
-            ib_i = drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0])
-            y_i = _ybar_contributions(b[:, 1:], bp[:, 1:], hurst, paths.grid, sigma)
-        self._per_path = np.stack([d_i, ib_i, y_i])
+            for t, x in enumerate(np.split(paths.values, trials)):
+                x = np.ascontiguousarray(x)
+                b, bp = drift.b(x), drift.b_prime(x)
+                self._per_path[:, t] = (
+                    (b[:, :-1] ** 2).sum(axis=1) * dt,
+                    drift.antiderivative(x[:, -1]) - drift.antiderivative(x[:, 0]),
+                    _ybar_contributions(b[:, 1:], bp[:, 1:], hurst, paths.grid, sigma))
+                # Where b'(X) is one constant beta on every node of a trial's paths (a
+                # linear drift), each term of its Phi_N depends only on the lag: keep beta.
+                self._beta[t] = bp.flat[0] if (bp == bp.flat[0]).all() else np.nan
         _check_per_path(self._per_path, "b(X)^2 or the antiderivative of b")
-        # Where b'(X) is one constant beta on every node of every path (a linear
-        # drift), each term of Phi_N depends only on its lag: keep beta alone.
-        self._beta = float(bp.flat[0]) if (bp == bp.flat[0]).all() else None
-        if self._beta is None:
+        if np.isnan(self._beta).any():
+            # b'(X) again, of every trial: the loop keeps one trial's at a time.
+            x = np.ascontiguousarray(paths.values).reshape(trials, self.n_paths, -1)
+            with np.errstate(all="ignore"):
+                bp = drift.b_prime(x)
             # C_i(t_j) = sum_{l<j} b'(X_i(t_l)) * mesh, with C_i(t_0) = 0, centred on
             # the midpoint of its range so that e^{sC} and e^{-sC} overflow together.
             c = np.zeros_like(bp)
-            np.cumsum(bp[:, :-1] * dt, axis=1, out=c[:, 1:])
-            c_min, c_max = c.min(axis=1), c.max(axis=1)
-            self._c = c - 0.5 * (c_min + c_max)[:, None]
-            self._c_span = c_max - c_min
-            self._c_reach = np.maximum.accumulate(self._c_span)  # the widest of each prefix
-            self._bp = bp[:, 1:]  # b'(X) at t_1..t_nu
+            np.cumsum(bp[..., :-1] * dt, axis=-1, out=c[..., 1:])
+            c_min, c_max = c.min(axis=-1), c.max(axis=-1)
+            c -= 0.5 * (c_min + c_max)[..., None]
+            self._c, self._c_span = c, c_max - c_min
+            self._c_reach = np.maximum.accumulate(self._c_span, axis=-1)  # widest of each prefix
+            self._bp = bp[..., 1:]  # b'(X) at t_1..t_nu
 
-    @staticmethod
-    def _pair_stats(caches, ns: np.ndarray) -> tuple[SufficientStats, np.ndarray]:
-        """D_N, I_N and M_N of the pairs (caches[t], prefix ns[j]), t-major, plus
+    def _pair_stats(self, ns: np.ndarray) -> tuple[SufficientStats, np.ndarray]:
+        """D_N, I_N and M_N of the pairs (trial t, prefix ns[j]), t-major, plus
         Ybar_N as a fourth array; I_N and M_N mean nothing where D_N <= 0."""
-        first, n = caches[0], np.tile(ns, len(caches))
-        per_path = np.stack([cache._per_path for cache in caches], axis=1)  # (3, chunk, paths)
-        d_sum, ib_sum, y_sum = _prefix_sums(per_path, ns).reshape(3, -1)
-        nt = n * first.t_total
+        n = np.tile(ns, len(self._beta))
+        d_sum, ib_sum, y_sum = _prefix_sums(self._per_path, ns).reshape(3, -1)
+        nt = n * self.t_total
         # D_N = 0 divides by zero, and M_N overflows to inf where Omega_N cannot hold.
         with np.errstate(all="ignore"):
             d_n = d_sum / nt
             i_n = ib_sum / (nt * d_n)
-            m_n = np.exp(first.drift.sup_norm_b_prime * np.abs(i_n) * first.t_total)
-            ybar = first.sigma**2 / (n * np.float64(first.t_total)**2) * y_sum
+            m_n = np.exp(self.drift.sup_norm_b_prime * np.abs(i_n) * self.t_total)
+            ybar = self.sigma**2 / (n * np.float64(self.t_total)**2) * y_sum
         return SufficientStats(d_n=d_n, i_n=i_n, m_n=m_n), ybar
 
     def stats(self, n: Optional[int] = None) -> SufficientStats:
-        stats, _ = self._pair_stats([self], np.array([self.paths.n_paths if n is None else n]))
+        stats, _ = self._pair_stats(np.array([self.n_paths if n is None else n]))
         if stats.d_n[0] <= 0.0:
             raise DegenerateStatisticsError("D_N vanished on this prefix")
         return SufficientStats(*(float(a[0]) for a in (stats.d_n, stats.i_n, stats.m_n)))
 
     def ybar(self, n: int) -> float:
-        return float(self._pair_stats([self], np.array([n]))[1][0])
+        return float(self._pair_stats(np.array([n]))[1][0])
 
     def phi(self, n: int, stats: SufficientStats) -> Callable[[float], float]:
-        """Phi_N(r) at s = r + I_N: the `_phi_pairs` value of the one pair (this cache, n)."""
-        phi = self._phi_pairs([self], np.array([n]), SufficientStats(
+        """Phi_N(r) at s = r + I_N: the `_phi_pairs` value of the pair (trial 0, n)."""
+        phi = self._phi_pairs(np.array([n]), SufficientStats(
             *(np.array([a]) for a in (stats.d_n, stats.i_n, stats.m_n))))
         return lambda r: float(phi(np.zeros(1, dtype=np.int64), np.array([r]))[0])
 
-    @staticmethod
-    def _phi_pairs(caches, ns: np.ndarray,
+    def _phi_pairs(self, ns: np.ndarray,
                    stats: SufficientStats) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Phi_N of the pairs of `_pair_stats` at r, for index and iterate arrays
         (k, r): the exact sum over the pair's n paths, with the bits the pair gets
-        alone. A pair of a linear cache sums its lags, `_phi_lags`; the others sum
+        alone. A pair of a linear trial sums its lags, `_phi_lags`; the others sum
         their first n rows, one stacked `_phi_factorized` call per row count, or
         `_phi_rows` alone where a factor e^{+-sC} would overflow."""
-        first, grid = caches[0], caches[0].paths.grid
-        _, tri, _, weights = _kernels(first.hurst, grid)
-        trial, n = np.repeat(np.arange(len(caches)), len(ns)), np.tile(ns, len(caches))
-        scale = first._scale(n, stats.d_n)
-        linear = np.array([x._beta is not None for x in caches])
-        beta = np.array([x._beta or 0.0 for x in caches])[trial]
-        # The rows each pair sums: none on a linear cache, whose pairs sum the lags.
-        rows, lag_scale, times = np.where(linear[trial], 0, n), scale * n * beta, grid.nodes[1:]
-        # The other caches in one stack; slot is the place of a pair's cache in it.
-        rowed = [x for x in caches if x._beta is None]
+        _, tri, _, weights = _kernels(self.hurst, self.grid)
+        trials = len(self._beta)
+        trial, n = np.repeat(np.arange(trials), len(ns)), np.tile(ns, trials)
+        scale, beta = self._scale(n, stats.d_n), self._beta[trial]
+        # The rows each pair sums: none on a linear trial, whose pairs sum the lags.
+        rows, lag_scale = np.where(np.isnan(beta), n, 0), scale * n * beta
+        times = self.grid.nodes[1:]
+        rowed = np.count_nonzero(np.isnan(self._beta))
         if rowed:
-            slot = (np.cumsum(~linear) - 1)[trial]
             # The widest span of C over each pair's rows (a linear pair's is unused).
-            reach = np.stack([x._c_reach for x in rowed])[slot, n - 1]
-            bp, c = (np.stack([getattr(x, name) for x in rowed]) for name in ("_bp", "_c"))
+            reach = self._c_reach[trial, n - 1]
             # Buffers for the most rows one call can read: its pairs times their count.
-            work = list(np.empty((2, len(rowed) * int(np.bincount(ns, ns).max()) * len(tri))))
+            work = list(np.empty((2, rowed * int(np.bincount(ns, ns).max()) * len(tri))))
 
         # An overflow surfaces as a non-finite value, which the Picard iteration reports.
         @np.errstate(all="ignore")
@@ -496,16 +505,17 @@ class FbmEstimatorCache:
                 fit = 0.5 * np.abs(s_j) * reach[e] <= _MAX_FACTOR_EXPONENT
                 if not fit.all():
                     for jj, ee in zip(j[~fit].tolist(), e[~fit].tolist()):
-                        x = caches[trial[ee]]
-                        values[jj] = scale[ee] * _phi_rows(s[jj], x._bp[:m], x._c[:m],
-                                                           x._c_span[:m], tri)
+                        t = trial[ee]
+                        values[jj] = scale[ee] * _phi_rows(s[jj], self._bp[t, :m], self._c[t, :m],
+                                                           self._c_span[t, :m], tri)
                     j, e, s_j = j[fit], e[fit], s_j[fit]
                 if not j.size:
                     continue
-                # One pair per cache, in order, as on most steps: no gathered copy.
-                t = slot[e]
-                every = len(t) == len(rowed) and (t == np.arange(len(t))).all()
-                bp_m, c_m = (a[:, :m] if every else np.take(a[:, :m], t, axis=0) for a in (bp, c))
+                # One pair per trial, in order, as on most steps: no gathered copy.
+                t = trial[e]
+                every = len(t) == trials and (t == np.arange(trials)).all()
+                bp_m, c_m = (a[:, :m] if every else np.take(a[:, :m], t, axis=0)
+                             for a in (self._bp, self._c))
                 values[j] = scale[e] * _phi_factorized(s_j, bp_m, c_m, tri, work)
             return values
 
@@ -515,14 +525,13 @@ class FbmEstimatorCache:
         """-alpha sigma^2 / (N T D_N), for scalars or arrays over prefixes."""
         return -self.hurst.alpha * self.sigma**2 / (n * self.t_total * d_n)
 
-    @staticmethod
-    def solve(caches: Sequence["FbmEstimatorCache"], points: Optional[Sequence[int]] = None, *,
-              c: float = DEFAULT_CONTRACTION, d_threshold: float = 0.0, alpha: float = 0.05,
-              enforce_omega: bool = False, max_iters: Optional[int] = None,
-              tol: float = DEFAULT_TOL, residual: bool = True) -> np.ndarray:
-        """`FBM_ROW`s, shape (len(caches), len(points)): [t, j] is the `truncate`d
-        estimate on the first points[j] paths of caches[t] (default: all), the same
-        bits as alone, +- the half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N).
+    def solve(self, points: Optional[Sequence[int]] = None, *, c: float = DEFAULT_CONTRACTION,
+              d_threshold: float = 0.0, alpha: float = 0.05, enforce_omega: bool = False,
+              max_iters: Optional[int] = None, tol: float = DEFAULT_TOL,
+              residual: bool = True) -> np.ndarray:
+        """`FBM_ROW`s, shape (trials, len(points)): [t, j] is the `truncate`d estimate
+        on the first points[j] paths of trial t (default: all), the same bits as
+        alone, +- the half-width 2 sqrt(Ybar) u_{1-a/4} / (sqrt(N) D_N).
         Picard runs from 0 on all pairs at once; each stops after a step of at
         most tol, or after max_iters steps (default: the `iteration_schedule` of N).
         The residual |Phi_N(R_N) - R_N| costs one more Phi_N sweep; with
@@ -531,32 +540,27 @@ class FbmEstimatorCache:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         if (max_iters is not None and max_iters < 1) or tol < 0.0:
             raise ValueError(f"need max_iters >= 1 and tol >= 0, got {max_iters} and {tol}")
-        # The first cache's drift sets sup|b'|, Omega_N and the iteration limits of all.
-        if len({(x.paths.n_paths, x.paths.grid, x.hurst, x.sigma, x.drift.name)
-                for x in caches}) != 1:
-            raise ValueError("the caches must share n_paths, grid, H, sigma and drift")
-        first = caches[0]
-        ns = np.array([first.paths.n_paths] if points is None else points, dtype=np.int64)
-        (stats, ybar), n = first._pair_stats(caches, ns), np.tile(ns, len(caches))
+        trials = len(self._beta)
+        ns = np.array([self.n_paths] if points is None else points, dtype=np.int64)
+        (stats, ybar), n = self._pair_stats(ns), np.tile(ns, trials)
         ok = ~(stats.d_n <= 0.0)
         live = np.flatnonzero(ok)
-        sup = first.drift.sup_norm_b_prime
+        sup = self.drift.sup_norm_b_prime
         omega = np.zeros(len(n), dtype=bool)
         # With b' unbounded, the probe-interval sup|b'| is no bound on the
         # paths, so it may set the iteration count but never certify Omega_N.
-        if first.drift.b_prime_bounded:
+        if self.drift.b_prime_bounded:
             live_stats = SufficientStats(stats.d_n[live], stats.i_n[live], stats.m_n[live])
-            omega[live] = check_omega(live_stats, first.hurst, first.sigma, sup,
-                                      first.t_total, c)
+            omega[live] = check_omega(live_stats, self.hurst, self.sigma, sup, self.t_total, c)
         limits = np.tile(np.full(len(ns), max_iters) if max_iters else _iteration_limits(
-            tuple(ns.tolist()), c, first.t_total, sup, first.hurst), len(caches))
+            tuple(ns.tolist()), c, self.t_total, sup, self.hurst), trials)
         r, iterations = np.zeros(len(n)), np.zeros(len(n), dtype=np.int64)
         residuals = np.full(len(n), np.nan)
         k, r_k, limits_k, steps = live, r[live], limits[live], 0
         with np.errstate(all="ignore"):
             half = 2.0 * np.sqrt(ybar) * normal_quantile(1.0 - alpha / 4.0) / (
                 np.sqrt(n) * stats.d_n)
-            phi = first._phi_pairs(caches, ns, stats)
+            phi = self._phi_pairs(ns, stats)
             while k.size:
                 steps += 1
                 r_next = phi(k, r_k)
@@ -572,11 +576,11 @@ class FbmEstimatorCache:
             return _rows(FBM_ROW, estimate=estimate, aci_lower=estimate - half,
                          aci_upper=estimate + half, d_n=stats.d_n, i_n=stats.i_n, r_n=r,
                          residual=residuals, omega=omega & ok, iterations=iterations,
-                         ybar=ybar).reshape(len(caches), len(ns))
+                         ybar=ybar).reshape(trials, len(ns))
 
     def estimates(self, points: Optional[Sequence[int]] = None, **settings) -> np.ndarray:
-        """The `solve` rows of this cache alone: one `FBM_ROW` per n in points."""
-        return self.solve([self], points, **settings)[0]
+        """Trial 0's `solve` rows: one `FBM_ROW` per n in points."""
+        return self.solve(points, **settings)[0]
 
     def estimate(self, n: Optional[int] = None, *, alpha: float = 0.05,
                  **settings) -> EstimateFBM:
@@ -593,17 +597,17 @@ class FbmEstimatorCache:
 
 
 class BmEstimatorCache:
-    """Per-path statistics of the discrete-time least-squares estimator (H = 1/2)."""
+    """Per-path statistics of the discrete-time least-squares estimator (H = 1/2) of
+    a bundle of `trials` blocks of n_paths copies, as for `FbmEstimatorCache`."""
 
-    def __init__(self, paths: PathBundle, drift: DriftModel, sigma: float):
+    def __init__(self, paths: PathBundle, drift: DriftModel, sigma: float, trials: int = 1):
+        self.t_total, self.n_paths = paths.grid.horizon, _trial_size(paths, trials)
         # Time-major: each path sums along time row by row, in one order whatever the
         # bundle's storage and however many paths it holds.
         x = np.ascontiguousarray(paths.values.T)
         dt = paths.grid.mesh
-        self.t_total = paths.grid.horizon
-        self.n_paths = paths.n_paths
         # Per-path contributions to D, V and Ybar, summed over each prefix. An
-        # overflow here is reported as DivergenceError, here or by `estimates`.
+        # overflow here is reported as DivergenceError, here or by `solve`.
         with np.errstate(over="ignore", invalid="ignore"):
             b = drift.b(x[:-1])
             b_dx = np.subtract(x[1:], x[:-1])
@@ -612,41 +616,30 @@ class BmEstimatorCache:
             b_sq = np.multiply(b, b, out=b_dx)  # not in b, which may be x's own rows
             d = _column_sums(b_sq) * dt
             b_sq *= sigma**2
-            self._per_path = np.stack([d, v, _column_sums(b_sq) * dt])
+            self._per_path = np.stack([d, v, _column_sums(b_sq) * dt]).reshape(3, trials, -1)
         _check_per_path(self._per_path, "b(X)^2 or b(X) dX")
 
-    def split(self, size: int) -> list["BmEstimatorCache"]:
-        """Caches of this one's consecutive size paths, with the bits each has alone."""
-        parts = [object.__new__(BmEstimatorCache) for _ in range(0, self.n_paths, size)]
-        for part, per_path in zip(parts, np.split(self._per_path, len(parts), axis=1)):
-            part.t_total, part.n_paths, part._per_path = self.t_total, size, per_path
-        return parts
-
-    @staticmethod
-    def solve(caches: Sequence["BmEstimatorCache"], points: Optional[Sequence[int]] = None, *,
-              d_threshold: float = 0.0, alpha: float = 0.05) -> np.ndarray:
-        """`BM_ROW`s, shape (len(caches), len(points)): [t, j] is the `truncate`d
-        least-squares estimate V/D on the first points[j] paths of caches[t]
+    def solve(self, points: Optional[Sequence[int]] = None, *, d_threshold: float = 0.0,
+              alpha: float = 0.05) -> np.ndarray:
+        """`BM_ROW`s, shape (trials, len(points)): [t, j] is the `truncate`d
+        least-squares estimate V/D on the first points[j] paths of trial t
         (default: all), the same bits as alone."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if len({(x.n_paths, x.t_total) for x in caches}) != 1:
-            raise ValueError("the caches must share n_paths and T")
-        t_total = caches[0].t_total
-        ns = np.array([caches[0].n_paths] if points is None else points, dtype=np.int64)
-        d_sum, v_sum, y_sum = _prefix_sums(np.stack([c._per_path for c in caches], axis=1), ns)
-        nt = ns * t_total
+        ns = np.array([self.n_paths] if points is None else points, dtype=np.int64)
+        d_sum, v_sum, y_sum = _prefix_sums(self._per_path, ns)
+        nt = ns * self.t_total
         with np.errstate(all="ignore"):
             d_nn, v_nn = d_sum / nt, v_sum / nt
-            ybar = y_sum / (ns * np.float64(t_total)**2)  # inf, not OverflowError
+            ybar = y_sum / (ns * np.float64(self.t_total)**2)  # inf, not OverflowError
             estimate = truncate(np.where(d_nn > 0.0, v_nn / d_nn, np.nan), d_nn, d_threshold)
             half = np.sqrt(ybar) * normal_quantile(1.0 - alpha / 2.0) / (np.sqrt(ns) * d_nn)
             return _rows(BM_ROW, estimate=estimate, aci_lower=estimate - half,
                          aci_upper=estimate + half, d_n=d_nn, v_n=v_nn, ybar=ybar, omega=True)
 
     def estimates(self, points: Optional[Sequence[int]] = None, **settings) -> np.ndarray:
-        """The `solve` rows of this cache alone: one `BM_ROW` per n in points."""
-        return self.solve([self], points, **settings)[0]
+        """Trial 0's `solve` rows: one `BM_ROW` per n in points."""
+        return self.solve(points, **settings)[0]
 
     def estimate(self, n: Optional[int] = None, *, d_threshold: float = 0.0,
                  alpha: float = 0.05) -> EstimateBM:

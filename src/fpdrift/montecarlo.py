@@ -7,8 +7,9 @@ once, and evaluates the estimator on path prefixes 1..N. This prefix reuse
 makes the per-trial trajectory N -> estimate a function of a single simulation,
 and keeps every trial deterministic in (config, trial_index) regardless of how
 trials are scheduled across workers (fresh_paths_per_n draws one bundle per eval
-point instead, in turn). A chunk of trials is sampled, simulated and solved as arrays,
-one bundle size at a time, at most one gemm per trial and size: no trial's numbers move.
+point instead, in turn). A chunk of trials is sampled, simulated and solved as arrays:
+per bundle size, one bundle of every trial's copies and one estimator cache of it, with
+at most one gemm per trial and product, so no trial's numbers depend on its chunk.
 
 A run on K workers cuts the trials into K consecutive shares. The calling
 process forks K - 1 children with os.fork, one per share after the first, runs
@@ -72,8 +73,10 @@ class ExperimentConfig:
             raise ConfigError(f"T (horizon): must be positive with T^2 > 0, got {self.horizon}")
         if not 0.0 < self.sigma * self.sigma < math.inf:
             raise ConfigError(f"sigma: sigma^2 must be a nonzero finite float, got {self.sigma}")
-        if self.steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
+        for key in ("steps", "n_max", "replications"):  # numpy indexes arrays with intp
+            if not 1 <= getattr(self, key) <= np.iinfo(np.intp).max:
+                raise ConfigError(f"{key}: must lie in 1..{np.iinfo(np.intp).max}, "
+                                  f"got {getattr(self, key)}")
         if not 0.0 < self.contraction < 1.0:
             raise ConfigError(f"contraction: must lie in (0, 1), got {self.contraction}")
         if not 0.0 < self.alpha < 1.0:
@@ -86,10 +89,6 @@ class ExperimentConfig:
             raise ConfigError(f"max_iters: must be >= 1 or null, got {self.max_iters}")
         if not self.tol >= 0.0:
             raise ConfigError(f"tol: must be >= 0, got {self.tol}")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
         if self.mode not in ("fbm", "bm"):
             raise ConfigError(f"mode must be 'fbm' or 'bm', got {self.mode!r}")
         if self.mode == "bm" and self.hurst != 0.5:
@@ -176,12 +175,13 @@ def simulate_bundle(config: ExperimentConfig, rng: np.random.Generator, n: int) 
     return simulate_bundles(config, (rng,), n)
 
 
-def estimator_cache(config: ExperimentConfig,
-                    bundle: PathBundle) -> FbmEstimatorCache | BmEstimatorCache:
-    """The estimator cache of a solution bundle for the config's mode."""
+def estimator_cache(config: ExperimentConfig, bundle: PathBundle,
+                    trials: int = 1) -> FbmEstimatorCache | BmEstimatorCache:
+    """The estimator cache of a solution bundle of `trials` blocks for the config's mode."""
     if config.mode == "fbm":
-        return FbmEstimatorCache(bundle, config.drift(), config.hurst_params(), config.sigma)
-    return BmEstimatorCache(bundle, config.drift(), sigma=config.sigma)
+        return FbmEstimatorCache(bundle, config.drift(), config.hurst_params(), config.sigma,
+                                 trials)
+    return BmEstimatorCache(bundle, config.drift(), sigma=config.sigma, trials=trials)
 
 
 def _settings(config: ExperimentConfig) -> dict:
@@ -202,30 +202,21 @@ def estimate(config: ExperimentConfig, cache: FbmEstimatorCache | BmEstimatorCac
 
 def _run_chunk(config: ExperimentConfig, indices: range) -> np.ndarray:
     """Consecutive deterministic trials, each drawn from its own rng, solved together:
-    per bundle size, one bundle of all the trials' paths and one `solve` call.
+    per bundle size, one bundle of all the trials' paths, its cache and one `solve`.
     Returns the solve rows, shape (len(indices), len(config.points))."""
     rngs, points = [trial_rng(config, i) for i in indices], config.points
     # One bundle of n_max paths serves every eval point (all are drawn, so the rng
     # stream does not depend on them), or with fresh paths one bundle per point in turn.
     sizes = [(n, (n,)) for n in points] if config.fresh_paths_per_n else [(config.n_max, points)]
-    grid, fbm = config.grid(), config.mode == "fbm"
     # No output reads the residual |Phi_N(R_N) - R_N|, so its Phi_N sweep is skipped.
-    settings = _settings(config) | (dict(residual=False) if fbm else {})
+    settings = _settings(config) | (dict(residual=False) if config.mode == "fbm" else {})
     rows = []
     for m, ns in sizes:
-        values = simulate_bundles(config, rngs, m).values
-        # Each trial's bundle is m rows of the chunk's; its cache takes the first ns[-1].
-        # fbm caches sum path-major: one copy per bundle, which frees the time-major
-        # storage. bm caches sum that storage as it is, in one cache cut into the trials'.
-        values = np.ascontiguousarray(values) if fbm else values
-        block = values.reshape(len(rngs), m, -1)[:, :ns[-1]]
-        if fbm:
-            caches = [estimator_cache(config, PathBundle(grid, paths, "solution"))
-                      for paths in block]
-        else:
-            bundle = PathBundle(grid, block.reshape(-1, block.shape[-1]), "solution")
-            caches = estimator_cache(config, bundle).split(ns[-1])
-        rows.append(type(caches[0]).solve(caches, ns, **settings))
+        bundle = simulate_bundles(config, rngs, m)
+        if ns[-1] < m:  # a trial's Ybar gemm has its own cache's bits only on ns[-1] rows
+            block = bundle.values.reshape(len(rngs), m, -1)[:, :ns[-1]]
+            bundle = PathBundle(bundle.grid, block.reshape(-1, block.shape[-1]), "solution")
+        rows.append(estimator_cache(config, bundle, len(rngs)).solve(ns, **settings))
     return np.concatenate(rows, axis=1)
 
 

@@ -387,12 +387,16 @@ def test_sweep_n_fixed_out_of_range_exit_code(tmp_path, capsys, n_fixed):
       "--set", "steps=2"), 3),
     # A bundle on T = 1e300, whose T^2H overflows in Omega_N, and Phi_N too.
     ("t,path_1,path_2\n0,5,5\n5e299,4,3\n1e300,3,2\n", 3),
+    # Integers beyond numpy's index range are refused before anything is allocated.
+    *((("experiment", "--set", "model=model2", "--set", "H=0.7", "--set", f"{key}={10**20}"), 2)
+      for key in ("steps", "n_max", "replications")),
 ], ids=["explosive-drift", "non-numeric-cell", "ragged-row", "nan-cell", "phi-overflow",
         "fbm-overflow", "interval-overflow", "bm-interval-overflow", "statistic-overflow",
         "antiderivative-overflow", "bm-statistic-overflow", "undefined-final-estimates",
         "error-overflow", "prefix-sum-overflow", "fbm-horizon-square-overflow",
         "schedule-constant-underflow", "omega-bound-overflow", "omega-bound-overflow-estimate",
-        "omega-horizon-overflow"])
+        "omega-horizon-overflow", "steps-beyond-intp", "n-max-beyond-intp",
+        "replications-beyond-intp"])
 def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     if isinstance(case, tuple):
         code = run_cli(*case, "--out", str(tmp_path), "--workers", "1")
@@ -405,6 +409,8 @@ def test_bad_simulation_or_input_exit_code(tmp_path, capsys, case, expected):
     assert err.startswith("error: ") and err.count("\n") == 1
     if not isinstance(case, tuple) and expected == 2:  # a malformed file is named
         assert str(tmp_path / "bundle.csv") in err
+    elif expected == 2:  # and an out-of-range setting's key
+        assert err.startswith(f"error: {case[-1].split('=')[0]}: ")
 
 
 @pytest.mark.parametrize("case", [

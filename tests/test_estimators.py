@@ -132,11 +132,16 @@ def test_small_grid_oracles(steps, n, model):
         assert got_y == pytest.approx(want_y, rel=1e-12)
 
 
-def _caches(mode, bundle):
+def chunk_bundle(bundles):
+    """The bundles as the consecutive blocks of one chunk's bundle."""
+    return PathBundle(bundles[0].grid, np.concatenate([b.values for b in bundles]), "solution")
+
+
+def _caches(mode, bundle, trials=1):
     drift = drift_model("model1")
     if mode == "fbm":
-        return FbmEstimatorCache(bundle, drift, HurstParams(h=0.7), 0.25)
-    return BmEstimatorCache(bundle, drift, sigma=0.25)
+        return FbmEstimatorCache(bundle, drift, HurstParams(h=0.7), 0.25, trials)
+    return BmEstimatorCache(bundle, drift, sigma=0.25, trials=trials)
 
 
 @pytest.mark.parametrize("mode,h", [("fbm", 0.7), ("bm", 0.5)])
@@ -153,18 +158,38 @@ def test_cache_rows_do_not_depend_on_the_bundle_storage(mode, h):
     assert rows[0].tobytes() == rows[1].tobytes() == rows[2].tobytes()
 
 
-@pytest.mark.parametrize("size", [1, 4])
-def test_bm_split_caches_are_the_caches_of_their_paths(size):
-    # One cache of three blocks of paths, cut in three: each part has the bits
-    # of a cache built from its block alone, a one-path block too.
-    bundle = solution_bundle(model="model1", h=0.5, horizon=0.1, sigma=0.25, steps=150,
+def _chunk_trials(case):
+    """The bundles of a chunk's trials: three of one path or of four, three on a
+    400-step grid, where OpenBLAS threads each trial's Ybar gemm, or `chunk_bundles`,
+    whose trials sum the lags, the rows, and the rows of an overflowing jump."""
+    if case == "mixed":
+        return chunk_bundles()
+    steps, size = {"one-path": (150, 1), "four-paths": (150, 4), "steps400": (400, 10)}[case]
+    bundle = solution_bundle(model="model1", h=0.7, horizon=0.1, sigma=0.25, steps=steps,
                              n=3 * size)
-    parts = _caches("bm", bundle).split(size)
-    assert [part.n_paths for part in parts] == [size] * 3
-    for k, part in enumerate(parts):
-        alone = PathBundle(bundle.grid, bundle.values[k * size:(k + 1) * size], "solution")
-        points = range(1, size + 1)
-        assert part.estimates(points).tobytes() == _caches("bm", alone).estimates(points).tobytes()
+    return [PathBundle(bundle.grid, bundle.values[t * size:(t + 1) * size], "solution")
+            for t in range(3)]
+
+
+@pytest.mark.parametrize("case", ["one-path", "four-paths", "steps400", "mixed"])
+@pytest.mark.parametrize("mode", ["fbm", "bm"])
+def test_chunk_rows_are_the_rows_of_each_trial_alone(mode, case):
+    # One cache of the trials' consecutive blocks of paths: each trial's rows have
+    # the bits of a cache built from its block alone.
+    bundles = _chunk_trials(case)
+    points = range(1, bundles[0].n_paths + 1)
+    rows = _caches(mode, chunk_bundle(bundles), len(bundles)).solve(points)
+    assert rows.shape == (len(bundles), len(points))
+    for t, bundle in enumerate(bundles):
+        assert rows[t].tobytes() == _caches(mode, bundle).estimates(points).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["fbm", "bm"])
+def test_trials_must_divide_the_bundle(mode):
+    bundle = solution_bundle(model="model1", h=0.7, horizon=0.1, sigma=0.25, n=5)
+    for trials in (2, 0):
+        with pytest.raises(ValueError, match=f"trials={trials} does not divide"):
+            _caches(mode, bundle, trials)
 
 
 @pytest.mark.parametrize("steps,n", [(2, 1), (3, 2)])
@@ -488,16 +513,16 @@ def test_prefix_estimates_match_direct(model, seed):
 # ---------------------------------------------------------------------------
 
 def exact_phi(cache, n, stats):
-    """Phi_N of the first n paths, summed alone: on a linear cache one `_phi_lags`
+    """Phi_N of trial 0's first n paths, summed alone: on a linear cache one `_phi_lags`
     sum, scale n beta sum_k W_k e^{s beta t_k}; on another `_phi_rows` over its
     first n rows."""
-    scale, beta, grid = cache._scale(n, stats.d_n), cache._beta, cache.paths.grid
+    scale, beta, grid = cache._scale(n, stats.d_n), float(cache._beta[0]), cache.grid
     _, tri, _, weights = _kernels(cache.hurst, grid)
-    if beta is not None:
+    if not math.isnan(beta):
         return lambda r: scale * n * beta * float(
             _phi_lags(np.array([(r + stats.i_n) * beta]), grid.nodes[1:], weights)[0])
-    return lambda r: scale * _phi_rows(r + stats.i_n, cache._bp[:n], cache._c[:n],
-                                       cache._c_span[:n], tri)
+    return lambda r: scale * _phi_rows(r + stats.i_n, cache._bp[0, :n], cache._c[0, :n],
+                                       cache._c_span[0, :n], tri)
 
 
 @settings(max_examples=30, deadline=None)
@@ -520,7 +545,7 @@ def test_phi_is_the_exact_sum(model, seed, n, h, rs):
         for r in points:
             assert phi(r) == exact(r)
     # b' = -1 on every node of every model2 path: its cache sums the lags.
-    assert cache._beta == (-1.0 if name == "model2" else None)
+    assert cache._beta.tolist() == [-1.0] if name == "model2" else np.isnan(cache._beta).all()
 
 
 @pytest.mark.parametrize("model", ["model1", "sign-changing"])
@@ -566,7 +591,7 @@ def test_phi_is_exact_on_prefixes_of_degenerate_bundles():
     cache = FbmEstimatorCache(roots, drift_model("custom:-1,0,1,0"), HurstParams(h=0.8), 1.0)
     stats = SufficientStats(d_n=1.0, i_n=0.5, m_n=1.0)
     phi, exact = cache.phi(1, stats), exact_phi(cache, 1, stats)
-    assert cache._beta is None
+    assert np.isnan(cache._beta).all()
     for r in (0.0, 0.3):
         assert phi(r) == exact(r)
 
@@ -579,7 +604,7 @@ def test_phi_is_exact_on_prefixes_of_degenerate_bundles():
     assert cache.stats().i_n == pytest.approx(3980.0, rel=1e-3)
     stats = cache.stats(1)
     phi, exact = cache.phi(1, stats), exact_phi(cache, 1, stats)
-    assert cache._beta is None
+    assert np.isnan(cache._beta).all()
     for s in (0.0, 0.5, 1.0):
         assert phi(s - stats.i_n) == exact(s - stats.i_n)
 
@@ -611,7 +636,7 @@ def test_lag_phi_matches_oracle(model):
     t, T = bundle.grid.nodes, bundle.grid.horizon
     drift, hurst = drift_model(model), HurstParams(h=h)
     cache = FbmEstimatorCache(bundle, drift, hurst, sigma)
-    beta = cache._beta
+    beta = float(cache._beta[0])
     assert beta == drift.b_prime(np.zeros(1))[0] and not hasattr(cache, "_c")
     rows = cache.estimates(range(1, n + 1), tol=tol)
     for m in (1, 2, n // 2, n):
@@ -705,7 +730,7 @@ def test_estimates_match_scalar_solve(case):
         assert dict(zip(rows.dtype.names, row.tolist())) == want  # bitwise, field by field
     assert (diverged, truncated) == (want_diverged, want_truncated)
     # A linear drift's cache sums the lags.
-    assert (cache._beta is not None) == (name in ("model2", "custom:-2,1"))
+    assert (not np.isnan(cache._beta).any()) == (name in ("model2", "custom:-2,1"))
 
 
 def test_estimates_nan_rows_where_dn_vanishes():
@@ -787,15 +812,20 @@ def test_picard_counts_pinned(case):
 
 
 # ---------------------------------------------------------------------------
-# A chunk of caches in one stacked solve.
+# A chunk of trials in one cache and one stacked solve.
 # ---------------------------------------------------------------------------
 
-def chunk_caches():
-    """Five model1 caches of 40 paths: three plain ones, one whose last path
+def chunk_of(bundles, drift, hurst):
+    """One cache of the bundles as the trials of a chunk, and each one's cache alone."""
+    return (FbmEstimatorCache(chunk_bundle(bundles), drift, hurst, 1.0, trials=len(bundles)),
+            [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles])
+
+
+def chunk_bundles():
+    """Five model1 bundles of 40 paths: three plain ones, one whose last path
     jumps to -2e5 (I of the full bundle is about -9600, so its factors e^{+-sC}
-    overflow, while the proper prefixes are those of the first cache), and one
+    overflow, while the proper prefixes are those of the first bundle), and one
     stuck at x = 0, where b' = -1 on every node: a lag sum."""
-    drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(3)]
     jump = bundles[0].values.copy()
@@ -803,60 +833,62 @@ def chunk_caches():
     jump[-1, -1] = -2e5
     bundles.append(PathBundle(grid=bundles[0].grid, values=jump, kind="solution"))
     bundles.append(PathBundle(grid=bundles[0].grid, values=np.zeros_like(jump), kind="solution"))
-    return [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
+    return bundles
+
+
+def chunk_caches():
+    return chunk_of(chunk_bundles(), drift_model("model1"), HurstParams(h=0.7))
 
 
 @pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40), (5, 39)])
 def test_stacked_solve_matches_each_cache(points):
     settings = dict(c=0.5, d_threshold=2.0, alpha=0.1, tol=1e-12)
-    rows = FbmEstimatorCache.solve(chunk_caches(), points, **settings)
-    alone = [cache.estimates(points, **settings) for cache in chunk_caches()]
+    chunk, alone = chunk_caches()
+    rows = chunk.solve(points, **settings)
     assert rows.shape == (5, len(points))
-    for t in range(5):
-        assert rows[t].tobytes() == alone[t].tobytes()
-    # Every Picard step of each proper prefix of the jumping cache is the exact
+    for t, cache in enumerate(alone):
+        assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
+    # Every Picard step of each proper prefix of the jumping trial is the exact
     # sum of that prefix.
-    jump = chunk_caches()[3]
+    jump = alone[3]
     for m, row in zip(points, rows[3]):
         if m < 40:
             limit = iteration_schedule(m, 0.5, jump.t_total, 1.0, jump.hurst)
             r, iterations, residual = fixed_point(exact_phi(jump, m, jump.stats(m)), limit,
                                                   1e-12)
             assert (row["r_n"], row["iterations"], row["residual"]) == (r, iterations, residual)
-    assert chunk_caches()[4]._beta == -1.0 and not np.isnan(rows["estimate"][4]).any()
-    # A model2 cache of zero paths, with D_N = 0 throughout, stacked before a plain
-    # one: NaN rows, and the plain cache's bits alone.
-    zeros = PathBundle(grid=jump.paths.grid, values=np.zeros((40, 21)), kind="solution")
-    pair = [FbmEstimatorCache(b, drift_model("model2"), jump.hurst, 1.0)
-            for b in (zeros, solution_bundle(h=0.7, theta0=0.2, n=40, seed=5))]
-    rows = FbmEstimatorCache.solve(pair, points, **dict(settings, d_threshold=0.0))
+    assert chunk._beta[4] == -1.0 and not np.isnan(rows["estimate"][4]).any()
+    # A model2 trial of zero paths, with D_N = 0 throughout, before a plain one:
+    # NaN rows, and the plain trial's bits alone.
+    zeros = PathBundle(grid=jump.grid, values=np.zeros((40, 21)), kind="solution")
+    pair, alone = chunk_of([zeros, solution_bundle(h=0.7, theta0=0.2, n=40, seed=5)],
+                           drift_model("model2"), jump.hurst)
+    rows = pair.solve(points, **dict(settings, d_threshold=0.0))
     assert np.isnan(rows["estimate"][0]).all() and not rows["omega"][0].any()
     # d_threshold = 2 truncates them to the estimate 0, with a NaN interval.
-    rows = FbmEstimatorCache.solve(pair, points, **settings)
+    rows = pair.solve(points, **settings)
     assert (rows["estimate"][0] == 0.0).all() and np.isnan(rows["aci_upper"][0]).all()
-    for t, cache in enumerate(pair):
+    for t, cache in enumerate(alone):
         assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
 
 
 @pytest.mark.parametrize("points", [range(1, 41), (5, 39)])
 def test_solve_without_residual_changes_no_other_field(points):
-    rows = FbmEstimatorCache.solve(chunk_caches(), points)
-    lean = FbmEstimatorCache.solve(chunk_caches(), points, residual=False)
+    chunk, _ = chunk_caches()
+    rows, lean = chunk.solve(points), chunk.solve(points, residual=False)
     assert np.isnan(lean["residual"]).all() and not np.isnan(rows["residual"][:4]).all()
     for name in FBM_ROW.names:
         if name != "residual":
             assert lean[name].tobytes() == rows[name].tobytes(), name
 
 
-
-def exact_sum_caches():
-    """Five model1 caches of 40 paths whose Picard steps take the exact sum in
+def exact_sum_bundles():
+    """Five model1 bundles of 40 paths whose Picard steps take the exact sum in
     every way: two plain ones, one whose last path jumps to 2000 (I of the
     full bundle is about 32), one whose last path jumps to -2e5 (the full
     bundle's factors e^{+-sC} overflow: the direct sum), and 40 copies of a
     path that jumps to 2e4 (I about 4250: its factors overflow on every
     prefix, while the direct sum stays finite)."""
-    drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(2)]
     for top in (2000.0, -2e5):
@@ -867,42 +899,43 @@ def exact_sum_caches():
     copies = np.repeat(np.zeros_like(jump[-1:]), 40, axis=0)
     copies[:, -1] = 2e4
     bundles.append(PathBundle(grid=bundles[0].grid, values=copies, kind="solution"))
-    return [FbmEstimatorCache(b, drift, hurst, 1.0) for b in bundles]
+    return bundles
 
 
 def factorized_oracle(cache, n, stats, r):
-    """Phi_N as one 2-D exp, gemm and vdot over the first n paths."""
+    """Phi_N as one 2-D exp, gemm and vdot over trial 0's first n paths."""
     s = r + stats.i_n
-    bp, c, tri = cache._bp[:n], cache._c[:n], _kernels(cache.hurst, cache.paths.grid)[1]
+    bp, c, tri = cache._bp[0, :n], cache._c[0, :n], _kernels(cache.hurst, cache.grid)[1]
     total = np.vdot(bp * np.exp(s * c[:, 1:]), np.exp(-s * c[:, :-1]) @ tri.T)
     return cache._scale(n, stats.d_n) * float(total)
 
 
-# (40, 3, 40) puts two pairs of each cache in one exact sum.
+# (40, 3, 40) puts two pairs of each trial in one exact sum.
 @pytest.mark.parametrize("points", [range(1, 41), (3, 17, 40), (40, 3, 40)])
 def test_stacked_exact_sum_matches_each_cache(points):
     from fpdrift.estimators import _MAX_FACTOR_EXPONENT
 
     settings = dict(c=0.5, d_threshold=2.0, alpha=0.1, tol=1e-12)
-    rows = FbmEstimatorCache.solve(exact_sum_caches(), points, **settings)
-    for t, cache in enumerate(exact_sum_caches()):
+    bundles = exact_sum_bundles()
+    chunk, caches = chunk_of(bundles, drift_model("model1"), HurstParams(h=0.7))
+    rows = chunk.solve(points, **settings)
+    for t, cache in enumerate(caches):
         assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
     # Only the full overflow-prone bundle's iterate diverges.
     assert np.argwhere(np.isnan(rows["estimate"])).tolist() == [
         [3, j] for j, n in enumerate(points) if n == 40]
-    caches = exact_sum_caches()
     ns = np.array(points)
-    stats, _ = FbmEstimatorCache._pair_stats(caches, ns)
-    phi = FbmEstimatorCache._phi_pairs(caches, ns, stats)
+    stats, _ = chunk._pair_stats(ns)
+    phi = chunk._phi_pairs(ns, stats)
     overflow, copies = caches[3], caches[4]
-    assert [cache._beta for cache in caches] == [None] * 5
+    assert np.isnan(chunk._beta).all()
     for cache in (overflow, copies):
-        assert 0.5 * abs(cache.stats().i_n) * cache._c_reach[-1] > _MAX_FACTOR_EXPONENT
+        assert 0.5 * abs(cache.stats().i_n) * cache._c_reach[0, -1] > _MAX_FACTOR_EXPONENT
     # Every pair, at two iterates: the stacked sum is `exact_phi`'s, and the
     # 2-D one bit for bit where no factor would overflow; on the copies, the
     # direct sum of n rows, as the loop-written oracle sums.
     k = np.arange(len(caches) * len(ns))
-    t_nodes, t_total = copies.paths.grid.nodes, copies.t_total
+    t_nodes, t_total = copies.grid.nodes, copies.t_total
     for r in (0.0, 0.3):
         values = phi(k, np.full(len(k), r))
         for (t, m), value in zip(np.ndindex(len(caches), len(ns)), values.tolist()):
@@ -910,7 +943,7 @@ def test_stacked_exact_sum_matches_each_cache(points):
             prefix = cache.stats(n)
             assert value == exact_phi(cache, n, prefix)(r)
             if cache is copies and n in (ns[0], ns[-1]):
-                want = oracle_phi(r, copies.paths.values[:n], t_nodes, t_total,
+                want = oracle_phi(r, bundles[4].values[:n], t_nodes, t_total,
                                   copies.drift.b_prime, 0.7, 1.0, prefix.d_n, prefix.i_n)
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
             elif cache is not copies and (cache is not overflow or n < 40):
@@ -918,53 +951,32 @@ def test_stacked_exact_sum_matches_each_cache(points):
 
 
 def test_mixed_chunk_gives_each_cache_its_bits_alone():
-    # Two model1 caches sum the lags beside model1 caches that keep every row:
+    # Two model1 trials sum the lags beside model1 trials that keep every row:
     # a bundle stuck at x = 0, where b' = -1 on every node, and one whose nodes
     # are each 1 or -1, where b' = -1/2. Copies of one path keep all their rows.
-    drift, hurst = drift_model("model1"), HurstParams(h=0.7)
     bundles = [solution_bundle(model="model1", h=0.7, theta0=0.2, n=40, seed=seed)
                for seed in range(2)]
     grid = bundles[0].grid
-    copies = PathBundle(grid=grid, kind="solution",
-                        values=np.repeat(bundles[1].values[:1], 40, axis=0))
-    stuck = PathBundle(grid=grid, kind="solution", values=np.zeros_like(copies.values))
-    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=copies.values.shape)
-    caches = [FbmEstimatorCache(bundles[0], drift, hurst, 1.0),
-              FbmEstimatorCache(stuck, drift, hurst, 1.0),
-              FbmEstimatorCache(copies, drift, hurst, 1.0),
-              FbmEstimatorCache(bundles[1], drift, hurst, 1.0),
-              FbmEstimatorCache(PathBundle(grid=grid, kind="solution", values=signs), drift,
-                                hurst, 1.0)]
-    assert [cache._beta for cache in caches] == [None, -1.0, None, None, -0.5]
+    copies = np.repeat(bundles[1].values[:1], 40, axis=0)
+    signs = np.random.default_rng(5).choice([-1.0, 1.0], size=copies.shape)
+    trials = [bundles[0].values, np.zeros_like(copies), copies, bundles[1].values, signs]
+    chunk, caches = chunk_of([PathBundle(grid=grid, kind="solution", values=v) for v in trials],
+                             drift_model("model1"), HurstParams(h=0.7))
+    np.testing.assert_array_equal(chunk._beta, [np.nan, -1.0, np.nan, np.nan, -0.5])
     settings = dict(c=0.5, d_threshold=2.0, alpha=0.1, tol=1e-12)
     for points in (range(1, 41), (3, 17, 40)):
-        rows = FbmEstimatorCache.solve(caches, points, **settings)
+        rows = chunk.solve(points, **settings)
         assert not np.isnan(rows["estimate"]).any()
         for t, cache in enumerate(caches):
             assert rows[t].tobytes() == cache.estimates(points, **settings).tobytes()
 
 
-def test_solve_refuses_caches_of_different_drifts():
-    # The first cache's sup|b'| sets Omega_N of every pair. Stacked after a model1
-    # cache (sup|b'| = 1), this custom:-3,1 cache (3), which Omega_N does not hold
-    # on alone, would read omega True.
-    bundle = solution_bundle(model="custom:-3,1", h=0.7, horizon=2.5, x0=0.5, n=5)
-    hurst = HurstParams(h=0.7)
-    steep = FbmEstimatorCache(bundle, drift_model("custom:-3,1"), hurst, 1.0)
-    assert not steep.estimates()["omega"][0]
-    with pytest.raises(ValueError, match="must share n_paths, grid, H, sigma and drift"):
-        FbmEstimatorCache.solve([FbmEstimatorCache(bundle, drift_model("model1"), hurst, 1.0),
-                                 steep])
-    # Equal drifts built apart (new lambdas each) stack, with the bits of each alone.
-    again = FbmEstimatorCache(bundle, drift_model("custom:-3,1"), hurst, 1.0)
-    assert FbmEstimatorCache.solve([steep, again]).tobytes() == steep.estimates().tobytes() * 2
-
-
 def test_stacked_bm_solve_matches_each_cache():
     bundles = [solution_bundle(h=0.5, n=25, seed=seed) for seed in range(4)]
-    caches = [BmEstimatorCache(b, drift_model("model2"), sigma=1.0) for b in bundles]
-    rows = BmEstimatorCache.solve(caches, range(1, 26), d_threshold=3.0, alpha=0.1)
-    for t, cache in enumerate(caches):
+    chunk = BmEstimatorCache(chunk_bundle(bundles), drift_model("model2"), sigma=1.0, trials=4)
+    rows = chunk.solve(range(1, 26), d_threshold=3.0, alpha=0.1)
+    for t, bundle in enumerate(bundles):
+        cache = BmEstimatorCache(bundle, drift_model("model2"), sigma=1.0)
         assert rows[t].tobytes() == cache.estimates(range(1, 26), d_threshold=3.0,
                                                     alpha=0.1).tobytes()
 
@@ -980,15 +992,3 @@ def test_stacked_prefix_sums_match_each_cache(n_max):
     for t, one in enumerate(per_path):
         assert stacked[:, t].tolist() == _prefix_sums(one, ns).tolist()
         assert stacked[:, t, -1].tolist() == one.sum(axis=1).tolist()
-
-
-def test_stacked_solve_rejects_mixed_caches():
-    drift, hurst = drift_model("model2"), HurstParams(h=0.7)
-    fbm = lambda **kw: FbmEstimatorCache(solution_bundle(h=0.7, **kw), drift, hurst, 1.0)
-    with pytest.raises(ValueError, match="n_paths"):
-        FbmEstimatorCache.solve([fbm(n=5), fbm(n=6)], [2])
-    with pytest.raises(ValueError, match="grid"):
-        FbmEstimatorCache.solve([fbm(n=5), fbm(n=5, steps=10)], [2])
-    bm = lambda n: BmEstimatorCache(solution_bundle(h=0.5, n=n), drift, sigma=1.0)
-    with pytest.raises(ValueError, match="n_paths"):
-        BmEstimatorCache.solve([bm(5), bm(6)], [2])

@@ -52,7 +52,7 @@ def test_aci_coverage():
 def test_output_digests():
     lines = run_script("output_digests.py", "--workers", "1,2", "--case", "estimate-fbm",
                        "--case", "bm-sigma-overflow", "--case", "json-format",
-                       "--case", "custom-nan-rows-json")
+                       "--case", "custom-nan-rows-json", "--case", "model1-chunk")
     rows = [line.split() for line in lines]
     assert all(len(row) == 4 for row in rows)
     digests = {(case, workers, what): value for case, workers, what, value in rows}
@@ -60,6 +60,7 @@ def test_output_digests():
         == ["exit", "stdout", "stderr", "estimate.json"]
     assert digests["estimate-fbm", "w1", "exit"] == "0"
     assert digests["bm-sigma-overflow", "w1", "exit"] == "3"
+    assert digests["model1-chunk", "w1", "exit"] == "0"
     for case in ("json-format", "custom-nan-rows-json"):
         assert digests[case, "w1", "exit"] == "0"
         assert {"summary.json", "trajectories.json"} <= {what for c, w, what in digests
